@@ -7,15 +7,15 @@
 //!
 //! * **deterministic** — a schedule is a pure function of its seed,
 //!   so a chaos run reproduces exactly across machines and reruns;
-//! * **first-attempt only** — [`ChaosSchedule::seeded`] arms every
-//!   event at attempt 0, so a sweep engine with at least one retry
-//!   must converge to the fault-free results bit for bit (that
-//!   convergence is what the chaos suite in `cmp-bench` proves);
-//! * **recoverable by construction** — the taxonomy covers the
-//!   failure modes a resilient pool must survive (a worker panic
-//!   unwinding mid-job, a job stalling past its deadline); the third
-//!   lab-layer fault, a mid-sweep process kill, is simulated by
-//!   truncating the checkpoint journal and needs no schedule entry.
+//! * **quarantined, not retried** — a sweep engine runs each job
+//!   once, so an armed job is quarantined on its only attempt and
+//!   every other job must match the fault-free results bit for bit
+//!   (what the chaos suite in `cmp-bench` proves);
+//! * **isolated by construction** — the taxonomy covers the failure
+//!   modes a supervised pool must contain (a worker panic unwinding
+//!   mid-job, a job stalling past its deadline); the third lab-layer
+//!   fault, a mid-sweep process kill, is simulated by truncating the
+//!   checkpoint journal and needs no schedule entry.
 //!
 //! The schedule itself is plain data: the *application* of an event
 //! (actually panicking, actually stalling) lives in the sweep engine,
@@ -58,21 +58,19 @@ impl fmt::Display for ChaosEvent {
     }
 }
 
-/// A chaos event armed for one `(job, attempt)` of a sweep,
-/// displayed as `event@job.attempt` (e.g. `panic@3.0`).
+/// A chaos event armed for one job of a sweep, displayed as
+/// `event@job` (e.g. `panic@3`).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ChaosSpec {
     /// Submission index of the targeted job within the sweep batch.
     pub job: usize,
-    /// Attempt number the event arms at (0 = first run of the job).
-    pub attempt: u32,
-    /// What happens to that attempt.
+    /// What happens to that job.
     pub event: ChaosEvent,
 }
 
 impl fmt::Display for ChaosSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}@{}.{}", self.event, self.job, self.attempt)
+        write!(f, "{}@{}", self.event, self.job)
     }
 }
 
@@ -84,15 +82,14 @@ pub struct ChaosSchedule {
 
 impl ChaosSchedule {
     /// Builds a schedule from explicit specs (tests that target one
-    /// exact job/attempt, e.g. to force quarantine).
+    /// exact job).
     pub fn new(specs: Vec<ChaosSpec>) -> Self {
         ChaosSchedule { specs }
     }
 
     /// Seeds a schedule over a batch of `jobs`: `panics` distinct
-    /// jobs get a first-attempt [`ChaosEvent::WorkerPanic`], a
-    /// further `stalls` distinct jobs a first-attempt
-    /// [`ChaosEvent::JobStall`] of `stall_millis`. Event counts are
+    /// jobs get a [`ChaosEvent::WorkerPanic`], a further `stalls`
+    /// distinct jobs a [`ChaosEvent::JobStall`] of `stall_millis`. Event counts are
     /// clamped to the batch size; equal seeds give equal schedules.
     pub fn seeded(seed: u64, jobs: usize, panics: usize, stalls: usize, stall_millis: u64) -> Self {
         let want = (panics + stalls).min(jobs);
@@ -109,7 +106,6 @@ impl ChaosSchedule {
             .enumerate()
             .map(|(i, job)| ChaosSpec {
                 job,
-                attempt: 0,
                 event: if i < panics.min(want) {
                     ChaosEvent::WorkerPanic
                 } else {
@@ -120,9 +116,9 @@ impl ChaosSchedule {
         ChaosSchedule { specs }
     }
 
-    /// The event armed for `(job, attempt)`, if any.
-    pub fn event(&self, job: usize, attempt: u32) -> Option<ChaosEvent> {
-        self.specs.iter().find(|s| s.job == job && s.attempt == attempt).map(|s| s.event)
+    /// The event armed for `job`, if any.
+    pub fn event(&self, job: usize) -> Option<ChaosEvent> {
+        self.specs.iter().find(|s| s.job == job).map(|s| s.event)
     }
 
     /// Every armed spec, in arming order.
@@ -153,7 +149,7 @@ mod tests {
         assert_eq!(a.len(), 5);
         let jobs: std::collections::HashSet<_> = a.specs().iter().map(|s| s.job).collect();
         assert_eq!(jobs.len(), 5, "each event targets a distinct job");
-        assert!(a.specs().iter().all(|s| s.attempt == 0 && s.job < 20));
+        assert!(a.specs().iter().all(|s| s.job < 20));
         assert_eq!(a.specs().iter().filter(|s| s.event == ChaosEvent::WorkerPanic).count(), 3);
     }
 
@@ -166,20 +162,19 @@ mod tests {
     }
 
     #[test]
-    fn lookup_matches_job_and_attempt() {
-        let spec = ChaosSpec { job: 3, attempt: 1, event: ChaosEvent::WorkerPanic };
+    fn lookup_matches_job() {
+        let spec = ChaosSpec { job: 3, event: ChaosEvent::WorkerPanic };
         let s = ChaosSchedule::new(vec![spec]);
-        assert_eq!(s.event(3, 1), Some(ChaosEvent::WorkerPanic));
-        assert_eq!(s.event(3, 0), None);
-        assert_eq!(s.event(2, 1), None);
+        assert_eq!(s.event(3), Some(ChaosEvent::WorkerPanic));
+        assert_eq!(s.event(2), None);
     }
 
     #[test]
     fn display_formats() {
-        let spec = ChaosSpec { job: 3, attempt: 0, event: ChaosEvent::WorkerPanic };
-        assert_eq!(spec.to_string(), "panic@3.0");
-        let spec = ChaosSpec { job: 1, attempt: 2, event: ChaosEvent::JobStall { millis: 250 } };
-        assert_eq!(spec.to_string(), "stall(250ms)@1.2");
+        let spec = ChaosSpec { job: 3, event: ChaosEvent::WorkerPanic };
+        assert_eq!(spec.to_string(), "panic@3");
+        let spec = ChaosSpec { job: 1, event: ChaosEvent::JobStall { millis: 250 } };
+        assert_eq!(spec.to_string(), "stall(250ms)@1");
         assert_eq!(ChaosEvent::WorkerPanic.token(), "panic");
         assert_eq!(ChaosEvent::JobStall { millis: 1 }.token(), "stall");
     }

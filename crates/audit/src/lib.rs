@@ -22,8 +22,9 @@
 //!   deterministically;
 //! * the same seeded-schedule discipline extends to the *lab* layer:
 //!   a [`ChaosSchedule`] arms worker panics and job stalls against a
-//!   sweep batch so `cmp-bench`'s resilient sweep engine can prove it
-//!   recovers to bit-identical results.
+//!   sweep batch so `cmp-bench`'s sweep engine can prove it
+//!   quarantines exactly the armed jobs and keeps every other result
+//!   bit-identical.
 
 pub mod audited;
 pub mod chaos;

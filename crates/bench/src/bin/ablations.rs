@@ -14,7 +14,7 @@
 
 use cmp_bench::pool::{self, Job};
 use cmp_bench::table::{pct, rel, TextTable};
-use cmp_bench::{config_from_args, ok_or_exit, ParallelLab, ResultSource, WorkloadId};
+use cmp_bench::{config_from_args, ok_or_exit, Lab, ResultSource, WorkloadId};
 use cmp_nurapid::{CmpNurapid, NurapidConfig, PromotionPolicy};
 use cmp_sim::{
     try_run_mix_custom, try_run_multithreaded_custom, OrgKind, RunConfig, RunResult, SimError,
@@ -44,7 +44,7 @@ fn main() {
 
     // Every uniform-shared baseline any study divides by.
     let baselines = ["oltp", "specjbb", "ocean", "MIX3", "MIX2"].map(baseline);
-    let mut lab = ParallelLab::new(cfg);
+    let mut lab = Lab::new(cfg);
     ok_or_exit(lab.prefetch(&baselines));
     let mut base_ipc = |wl: &'static str| {
         let (id, kind) = baseline(wl);

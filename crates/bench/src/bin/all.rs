@@ -15,7 +15,7 @@
 //!
 //! Usage: all `[quick|paper|<refs>]`
 
-use cmp_bench::{config_from_args, figures, ok_or_exit, ParallelLab};
+use cmp_bench::{config_from_args, figures, ok_or_exit, Lab};
 
 fn main() {
     let cfg = config_from_args();
@@ -26,7 +26,7 @@ fn main() {
     println!("{}", figures::table1());
     println!("{}", figures::table2());
     println!("{}", figures::table3());
-    let mut lab = ok_or_exit(ParallelLab::from_env(cfg));
+    let mut lab = ok_or_exit(Lab::from_env(cfg));
     if let Some(path) = lab.journal_path() {
         eprintln!(
             "journal {}: resumed {} pair(s), checkpointing the rest",

@@ -11,13 +11,13 @@
 
 use cmp_bench::config_from_args;
 use cmp_bench::table::{pct, rel, TextTable};
-use cmp_bench::{ok_or_exit, ParallelLab, ResultSource, WorkloadId, MULTITHREADED};
+use cmp_bench::{ok_or_exit, Lab, ResultSource, WorkloadId, MULTITHREADED};
 use cmp_sim::OrgKind;
 
 fn main() {
     let cfg = config_from_args();
     let orgs = [OrgKind::Shared, OrgKind::Snuca, OrgKind::Dnuca];
-    let mut lab = ParallelLab::new(cfg);
+    let mut lab = Lab::new(cfg);
     let pairs: Vec<_> = MULTITHREADED
         .iter()
         .flat_map(|&wl| orgs.into_iter().map(move |k| (WorkloadId::Multithreaded(wl), k)))

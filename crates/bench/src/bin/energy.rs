@@ -5,7 +5,7 @@
 //! Usage: `energy [quick|paper|REFS]`
 
 use cmp_bench::table::TextTable;
-use cmp_bench::{config_from_args, ok_or_exit, ParallelLab, ResultSource, WorkloadId};
+use cmp_bench::{config_from_args, ok_or_exit, Lab, ResultSource, WorkloadId};
 use cmp_latency::energy::EnergyModel;
 use cmp_sim::{energy_account, OrgKind};
 
@@ -16,7 +16,7 @@ fn main() {
     let model = EnergyModel::paper_70nm();
     // Prefetch the full workload x organization grid across the
     // worker pool before rendering anything.
-    let mut lab = ParallelLab::new(cfg);
+    let mut lab = Lab::new(cfg);
     let pairs: Vec<_> = WORKLOADS
         .iter()
         .flat_map(|&wl| {

@@ -4,10 +4,10 @@
 //! through the parallel lab (`CMP_BENCH_THREADS` workers), then
 //! rendered from cache — byte-identical to a sequential run.
 
-use cmp_bench::{config_from_args, figures, ok_or_exit, ParallelLab};
+use cmp_bench::{config_from_args, figures, ok_or_exit, Lab};
 
 fn main() {
-    let mut lab = ParallelLab::new(config_from_args());
+    let mut lab = Lab::new(config_from_args());
     ok_or_exit(lab.prefetch(&figures::pairs::fig5()));
     print!("{}", figures::fig5(&mut lab));
 }

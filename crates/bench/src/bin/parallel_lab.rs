@@ -1,6 +1,7 @@
 //! Parallel-lab benchmark and self-check: runs the full figure sweep
 //! (the union of every figure's (workload, organization) pairs) once
-//! through the sequential `Lab` and once through the `ParallelLab`,
+//! pair at a time through one `Lab` and once as a parallel batch
+//! through another,
 //! verifies that every `RunResult`, every rendered figure, and every
 //! numeric series is byte-identical, and writes a
 //! `BENCH_parallel_lab.json` report (wall-clock sequential vs
@@ -18,7 +19,7 @@
 use std::collections::HashSet;
 use std::time::Instant;
 
-use cmp_bench::{config_from_args, figures, ok_or_exit, Engine, Json, Lab, ResultSource};
+use cmp_bench::{config_from_args, figures, ok_or_exit, Json, Lab, ResultSource};
 
 const REPORT_PATH: &str = "BENCH_parallel_lab.json";
 
@@ -36,11 +37,11 @@ fn main() {
     }
     let sequential_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-    // Parallel sweep of the same batch through the shared Engine
-    // facade (journal-resumed when CMP_SWEEP_JOURNAL is set) — the
-    // same front door the cmp-serve service drives, so this binary's
-    // determinism gate also covers the serving path's engine.
-    let mut par = ok_or_exit(Engine::from_env(cfg));
+    // Parallel sweep of the same batch through the lab's batch front
+    // door (journal-resumed when CMP_SWEEP_JOURNAL is set) — the same
+    // one the cmp-serve service drives, so this binary's determinism
+    // gate also covers the serving path.
+    let mut par = ok_or_exit(Lab::from_env(cfg));
     if let Some(path) = par.journal_path() {
         eprintln!(
             "journal {}: resumed {} pair(s), checkpointing the rest",
@@ -61,27 +62,25 @@ fn main() {
     }
     // Determinism check 2: byte-identical rendered figures and
     // numeric series.
-    type Renderer = (&'static str, fn(&mut Lab) -> String, fn(&mut Engine) -> String);
-    let renderers: Vec<Renderer> = vec![
-        ("fig5", figures::fig5, figures::fig5),
-        ("fig6", figures::fig6, figures::fig6),
-        ("fig7", figures::fig7, figures::fig7),
-        ("fig8", figures::fig8, figures::fig8),
-        ("fig9", figures::fig9, figures::fig9),
-        ("fig10", figures::fig10, figures::fig10),
-        ("fig11", figures::fig11, figures::fig11),
-        ("fig12", figures::fig12, figures::fig12),
-        ("closest_dgroup_share", figures::closest_dgroup_share, figures::closest_dgroup_share),
+    type Renderer = (&'static str, fn(&mut Lab) -> String);
+    let renderers: [Renderer; 9] = [
+        ("fig5", figures::fig5),
+        ("fig6", figures::fig6),
+        ("fig7", figures::fig7),
+        ("fig8", figures::fig8),
+        ("fig9", figures::fig9),
+        ("fig10", figures::fig10),
+        ("fig11", figures::fig11),
+        ("fig12", figures::fig12),
+        ("closest_dgroup_share", figures::closest_dgroup_share),
     ];
-    for (name, render_seq, render_par) in renderers {
-        if render_seq(&mut seq) != render_par(&mut par) {
+    for (name, render) in renderers {
+        if render(&mut seq) != render(&mut par) {
             mismatches.push(format!("figure {name}"));
         }
     }
-    for ((name, _, seq_extract), (_, _, par_extract)) in
-        figures::series::catalog::<Lab>().into_iter().zip(figures::series::catalog::<Engine>())
-    {
-        if seq_extract(&mut seq) != par_extract(&mut par) {
+    for (name, _, extract) in figures::series::catalog() {
+        if extract(&mut seq) != extract(&mut par) {
             mismatches.push(format!("series {name}"));
         }
     }
@@ -128,8 +127,6 @@ fn main() {
     report.set("resumed", Json::Num(par.restored() as f64));
     let sweep = par.last_report();
     let mut resilience = Json::obj();
-    resilience.set("attempts", Json::Num(sweep.attempts as f64));
-    resilience.set("retries", Json::Num(sweep.retries as f64));
     resilience.set("panicked", Json::Num(sweep.panicked as f64));
     resilience.set("timed_out", Json::Num(sweep.timed_out as f64));
     resilience.set("orphaned", Json::Num(sweep.orphaned as f64));

@@ -23,7 +23,7 @@
 //! A trailing `org` argument overrides the spec's own `org` field,
 //! which is how one spec file sweeps an organization axis.
 
-use cmp_bench::{ok_or_exit, ParallelLab, ResultSource, ScenarioSpec, WorkloadId};
+use cmp_bench::{ok_or_exit, Lab, ResultSource, ScenarioSpec, WorkloadId};
 use cmp_cache::AccessClass;
 use cmp_mem::ReuseBucket;
 use cmp_sim::{OrgKind, RunConfig, StopMetric, StopRule};
@@ -71,7 +71,7 @@ fn run_spec(path: &str, org_arg: Option<&str>) {
     // The spec's sizing overrides apply over the CLI's defaults.
     let cfg = spec.run_config(&RunConfig::sized(500_000, 1_000_000, 0x15CA));
     let id = WorkloadId::Spec(cmp_bench::spec::intern(&spec));
-    let mut lab = ParallelLab::new(cfg);
+    let mut lab = Lab::new(cfg);
     ok_or_exit(lab.prefetch(&[(id, kind)]));
     let r = ok_or_exit(lab.try_result(id, kind)).clone();
     println!(
@@ -128,7 +128,7 @@ fn main() {
     } else {
         WorkloadId::Multithreaded(name)
     };
-    let mut lab = ParallelLab::new(cfg);
+    let mut lab = Lab::new(cfg);
     ok_or_exit(lab.prefetch(&[(id, kind)]));
     let r = ok_or_exit(lab.try_result(id, kind)).clone();
 

@@ -3,15 +3,15 @@
 //! Every function renders the measured results in the paper's layout
 //! and, where the paper states numbers, appends them for comparison.
 //! The functions return `String`s so binaries and EXPERIMENTS.md
-//! generation share one code path, and they are generic over
-//! [`ResultSource`] so the sequential [`crate::Lab`] and the
-//! [`crate::ParallelLab`] render through the same code — the
-//! determinism suite compares their outputs byte for byte.
+//! generation share one code path. They take a [`Lab`] and look
+//! results up through it, so a figure renders the same bytes whether
+//! its pairs were simulated on demand or prefetched across a worker
+//! pool — the determinism suite compares the two byte for byte.
 //!
 //! Two sibling modules expose the figures' data without the text
 //! layout: [`pairs`] names each figure's full (workload,
 //! organization) set so batch drivers can prefetch it through
-//! [`crate::ParallelLab::prefetch`] before rendering, and [`series`]
+//! [`Lab::prefetch`] before rendering, and [`series`]
 //! extracts each figure's numeric series for the golden-figure
 //! regression suite.
 
@@ -20,7 +20,7 @@ use cmp_latency::Table1;
 use cmp_mem::{ReuseBucket, ReuseHistogram};
 use cmp_sim::OrgKind;
 
-use crate::lab::ResultSource;
+use crate::lab::{Lab, ResultSource};
 use crate::table::{pct, rel, TextTable};
 use crate::{WorkloadId, COMMERCIAL, MIXES, MULTITHREADED};
 
@@ -34,7 +34,7 @@ fn mix(name: &'static str) -> WorkloadId {
 
 /// The figure's (workload, organization) pair sets, in rendering
 /// order. Prefetching a figure's set through
-/// [`crate::ParallelLab::prefetch`] before calling the renderer moves
+/// [`Lab::prefetch`] before calling the renderer moves
 /// every simulation onto the worker pool; the renderer then only
 /// takes cache hits.
 pub mod pairs {
@@ -203,7 +203,7 @@ pub fn table3() -> String {
 }
 
 /// Figure 5: distribution of L2 cache accesses, shared vs private.
-pub fn fig5<L: ResultSource>(lab: &mut L) -> String {
+pub fn fig5(lab: &mut Lab) -> String {
     let mut t = TextTable::new(vec!["workload", "org", "hits", "ROS miss", "RWS miss", "cap miss"]);
     for wl in MULTITHREADED {
         for kind in [OrgKind::Shared, OrgKind::Private] {
@@ -227,7 +227,7 @@ pub fn fig5<L: ResultSource>(lab: &mut L) -> String {
 
 /// Figure 6: performance opportunity — non-uniform-shared, private,
 /// and ideal relative to uniform-shared.
-pub fn fig6<L: ResultSource>(lab: &mut L) -> String {
+pub fn fig6(lab: &mut Lab) -> String {
     let mut t = TextTable::new(vec!["workload", "non-uniform-shared", "private", "ideal"]);
     for wl in MULTITHREADED {
         t.row(vec![
@@ -237,7 +237,7 @@ pub fn fig6<L: ResultSource>(lab: &mut L) -> String {
             rel(lab.relative(mt(wl), OrgKind::Ideal)),
         ]);
     }
-    let avg = |lab: &mut L, k| lab.average_relative(&COMMERCIAL, k);
+    let avg = |lab: &mut Lab, k| lab.average_relative(&COMMERCIAL, k);
     let row = format!(
         "commercial average: non-uniform-shared {}, private {}, ideal {}",
         rel(avg(lab, OrgKind::Snuca)),
@@ -256,7 +256,7 @@ fn reuse_cells(h: &ReuseHistogram) -> Vec<String> {
 
 /// Figure 7: reuse patterns of replaced ROS blocks and invalidated
 /// RWS blocks in private caches.
-pub fn fig7<L: ResultSource>(lab: &mut L) -> String {
+pub fn fig7(lab: &mut Lab) -> String {
     let mut t = TextTable::new(vec![
         "workload",
         "kind",
@@ -287,7 +287,7 @@ pub fn fig7<L: ResultSource>(lab: &mut L) -> String {
 
 /// Figure 8: distribution of tag-array accesses for shared, private,
 /// CMP-NuRAPID with CR only, and with ISC only.
-pub fn fig8<L: ResultSource>(lab: &mut L) -> String {
+pub fn fig8(lab: &mut Lab) -> String {
     let mut t = TextTable::new(vec!["workload", "org", "hits", "ROS miss", "RWS miss", "cap miss"]);
     let orgs = [
         (OrgKind::Shared, "shared"),
@@ -321,7 +321,7 @@ pub fn fig8<L: ResultSource>(lab: &mut L) -> String {
 
 /// Figure 9: distribution of data-array accesses for CR and ISC:
 /// closest-d-group hits vs farther hits vs misses.
-pub fn fig9<L: ResultSource>(lab: &mut L) -> String {
+pub fn fig9(lab: &mut Lab) -> String {
     let mut t =
         TextTable::new(vec!["workload", "config", "closest hits", "farther hits", "misses"]);
     for wl in MULTITHREADED {
@@ -350,7 +350,7 @@ pub fn fig9<L: ResultSource>(lab: &mut L) -> String {
 
 /// Figure 10: relative performance of all organizations on the
 /// multithreaded workloads.
-pub fn fig10<L: ResultSource>(lab: &mut L) -> String {
+pub fn fig10(lab: &mut Lab) -> String {
     let mut t =
         TextTable::new(vec!["workload", "non-uniform-shared", "private", "ideal", "CMP-NuRAPID"]);
     for wl in MULTITHREADED {
@@ -362,7 +362,7 @@ pub fn fig10<L: ResultSource>(lab: &mut L) -> String {
             rel(lab.relative(mt(wl), OrgKind::Nurapid)),
         ]);
     }
-    let avg = |lab: &mut L, k| lab.average_relative(&COMMERCIAL, k);
+    let avg = |lab: &mut Lab, k| lab.average_relative(&COMMERCIAL, k);
     let row = format!(
         "commercial average: non-uniform-shared {}, private {}, ideal {}, CMP-NuRAPID {}",
         rel(avg(lab, OrgKind::Snuca)),
@@ -379,7 +379,7 @@ pub fn fig10<L: ResultSource>(lab: &mut L) -> String {
 
 /// Figure 11: cache access distribution (hits vs misses) for the
 /// multiprogrammed mixes.
-pub fn fig11<L: ResultSource>(lab: &mut L) -> String {
+pub fn fig11(lab: &mut Lab) -> String {
     let mut t = TextTable::new(vec!["mix", "org", "hits", "misses"]);
     for m in MIXES {
         for kind in [OrgKind::Shared, OrgKind::Private, OrgKind::Nurapid] {
@@ -407,7 +407,7 @@ pub fn fig11<L: ResultSource>(lab: &mut L) -> String {
 }
 
 /// Figure 12: relative IPC for the multiprogrammed mixes.
-pub fn fig12<L: ResultSource>(lab: &mut L) -> String {
+pub fn fig12(lab: &mut Lab) -> String {
     let mut t = TextTable::new(vec!["mix", "non-uniform-shared", "private", "CMP-NuRAPID"]);
     for m in MIXES {
         t.row(vec![
@@ -417,7 +417,7 @@ pub fn fig12<L: ResultSource>(lab: &mut L) -> String {
             rel(lab.relative(mix(m), OrgKind::Nurapid)),
         ]);
     }
-    let avg = |lab: &mut L, k: OrgKind| {
+    let avg = |lab: &mut Lab, k: OrgKind| {
         let s: f64 = MIXES.iter().map(|m| lab.relative(mix(m), k)).sum();
         s / MIXES.len() as f64
     };
@@ -437,7 +437,7 @@ pub fn fig12<L: ResultSource>(lab: &mut L) -> String {
 /// CMP-NuRAPID's closest-d-group hit share on the multiprogrammed
 /// mixes (the capacity-stealing effectiveness claim of Section
 /// 5.2.1).
-pub fn closest_dgroup_share<L: ResultSource>(lab: &mut L) -> String {
+pub fn closest_dgroup_share(lab: &mut Lab) -> String {
     let mut t = TextTable::new(vec!["mix", "closest/accesses", "closest/hits"]);
     for m in MIXES {
         let s = lab.result(mix(m), OrgKind::Nurapid).l2.clone();
@@ -473,7 +473,7 @@ pub mod series {
     }
 
     /// Figure 5 series: access-class fractions, shared vs private.
-    pub fn fig5<L: ResultSource>(lab: &mut L) -> Series {
+    pub fn fig5(lab: &mut Lab) -> Series {
         let mut out = Vec::new();
         for wl in MULTITHREADED {
             for kind in [OrgKind::Shared, OrgKind::Private] {
@@ -486,7 +486,7 @@ pub mod series {
 
     /// Figure 6 series: relative performance per workload plus the
     /// commercial averages.
-    pub fn fig6<L: ResultSource>(lab: &mut L) -> Series {
+    pub fn fig6(lab: &mut Lab) -> Series {
         let mut out = Vec::new();
         let orgs = [OrgKind::Snuca, OrgKind::Private, OrgKind::Ideal];
         for wl in MULTITHREADED {
@@ -505,7 +505,7 @@ pub mod series {
 
     /// Figure 7 series: reuse-bucket fractions and totals of the
     /// private organization.
-    pub fn fig7<L: ResultSource>(lab: &mut L) -> Series {
+    pub fn fig7(lab: &mut Lab) -> Series {
         let mut out = Vec::new();
         for wl in MULTITHREADED {
             let s = lab.result(mt(wl), OrgKind::Private).l2.clone();
@@ -524,7 +524,7 @@ pub mod series {
 
     /// Figure 8 series: access-class fractions across the five
     /// tag-array organizations.
-    pub fn fig8<L: ResultSource>(lab: &mut L) -> Series {
+    pub fn fig8(lab: &mut Lab) -> Series {
         let mut out = Vec::new();
         for wl in MULTITHREADED {
             for kind in [
@@ -543,7 +543,7 @@ pub mod series {
 
     /// Figure 9 series: data-array hit/miss split of the NuRAPID
     /// configurations.
-    pub fn fig9<L: ResultSource>(lab: &mut L) -> Series {
+    pub fn fig9(lab: &mut Lab) -> Series {
         let mut out = Vec::new();
         for wl in MULTITHREADED {
             for kind in [OrgKind::NurapidCrOnly, OrgKind::NurapidIscOnly, OrgKind::Nurapid] {
@@ -565,7 +565,7 @@ pub mod series {
 
     /// Figure 10 series: headline relative performance plus the
     /// commercial averages.
-    pub fn fig10<L: ResultSource>(lab: &mut L) -> Series {
+    pub fn fig10(lab: &mut Lab) -> Series {
         let mut out = Vec::new();
         let orgs = [OrgKind::Snuca, OrgKind::Private, OrgKind::Ideal, OrgKind::Nurapid];
         for wl in MULTITHREADED {
@@ -584,7 +584,7 @@ pub mod series {
 
     /// Figure 11 series: hit/miss fractions of the mixes plus average
     /// miss rates.
-    pub fn fig11<L: ResultSource>(lab: &mut L) -> Series {
+    pub fn fig11(lab: &mut Lab) -> Series {
         let mut out = Vec::new();
         let orgs = [OrgKind::Shared, OrgKind::Private, OrgKind::Nurapid];
         for m in MIXES {
@@ -604,7 +604,7 @@ pub mod series {
     }
 
     /// Figure 12 series: relative IPC of the mixes plus averages.
-    pub fn fig12<L: ResultSource>(lab: &mut L) -> Series {
+    pub fn fig12(lab: &mut Lab) -> Series {
         let mut out = Vec::new();
         let orgs = [OrgKind::Snuca, OrgKind::Private, OrgKind::Nurapid];
         for m in MIXES {
@@ -620,7 +620,7 @@ pub mod series {
     }
 
     /// Closest-d-group share series (Section 5.2.1).
-    pub fn closest_dgroup_share<L: ResultSource>(lab: &mut L) -> Series {
+    pub fn closest_dgroup_share(lab: &mut Lab) -> Series {
         let mut out = Vec::new();
         for m in MIXES {
             let s = lab.result(mix(m), OrgKind::Nurapid).l2.clone();
@@ -638,7 +638,7 @@ pub mod series {
 
     /// One golden-tracked figure: its name, the pair set it needs
     /// prefetched, and the extractor producing its numeric series.
-    pub type CatalogEntry<L> = (&'static str, Vec<crate::lab::Pair>, fn(&mut L) -> Series);
+    pub type CatalogEntry = (&'static str, Vec<crate::lab::Pair>, fn(&mut Lab) -> Series);
 
     /// Serializes one figure's series in the golden-fixture shape:
     /// figure name, the exact [`cmp_sim::RunConfig`] that produced
@@ -665,17 +665,17 @@ pub mod series {
 
     /// Every golden-tracked figure — the single list the golden suite
     /// and the parallel report iterate.
-    pub fn catalog<L: ResultSource>() -> Vec<CatalogEntry<L>> {
+    pub fn catalog() -> Vec<CatalogEntry> {
         vec![
-            ("fig5", pairs::fig5(), fig5::<L>),
-            ("fig6", pairs::fig6(), fig6::<L>),
-            ("fig7", pairs::fig7(), fig7::<L>),
-            ("fig8", pairs::fig8(), fig8::<L>),
-            ("fig9", pairs::fig9(), fig9::<L>),
-            ("fig10", pairs::fig10(), fig10::<L>),
-            ("fig11", pairs::fig11(), fig11::<L>),
-            ("fig12", pairs::fig12(), fig12::<L>),
-            ("closest_dgroup_share", pairs::closest_dgroup_share(), closest_dgroup_share::<L>),
+            ("fig5", pairs::fig5(), fig5),
+            ("fig6", pairs::fig6(), fig6),
+            ("fig7", pairs::fig7(), fig7),
+            ("fig8", pairs::fig8(), fig8),
+            ("fig9", pairs::fig9(), fig9),
+            ("fig10", pairs::fig10(), fig10),
+            ("fig11", pairs::fig11(), fig11),
+            ("fig12", pairs::fig12(), fig12),
+            ("closest_dgroup_share", pairs::closest_dgroup_share(), closest_dgroup_share),
         ]
     }
 }
@@ -683,7 +683,6 @@ pub mod series {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Lab, ParallelLab};
     use cmp_sim::RunConfig;
 
     fn tiny_cfg() -> RunConfig {
@@ -748,7 +747,7 @@ mod tests {
 
     #[test]
     fn prefetched_figure_takes_no_extra_runs() {
-        let mut lab = ParallelLab::with_threads(tiny_cfg(), 2);
+        let mut lab = Lab::with_threads(tiny_cfg(), 2);
         lab.prefetch(&pairs::fig5()).unwrap();
         let runs = lab.runs();
         let _ = fig5(&mut lab);
@@ -759,8 +758,8 @@ mod tests {
     fn pair_sets_cover_their_figures() {
         // Rendering each figure from a prefetched lab must not add
         // runs — i.e. the pair sets are complete.
-        for (name, pairs, extract) in series::catalog::<ParallelLab>() {
-            let mut lab = ParallelLab::with_threads(tiny_cfg(), 2);
+        for (name, pairs, extract) in series::catalog() {
+            let mut lab = Lab::with_threads(tiny_cfg(), 2);
             lab.prefetch(&pairs).unwrap();
             let runs = lab.runs();
             let _ = extract(&mut lab);
@@ -771,7 +770,7 @@ mod tests {
     #[test]
     fn series_keys_are_unique_and_finite() {
         let mut lab = tiny_lab();
-        for (name, _, extract) in series::catalog::<Lab>() {
+        for (name, _, extract) in series::catalog() {
             let s = extract(&mut lab);
             assert!(!s.is_empty(), "{name} empty");
             let keys: std::collections::HashSet<_> = s.iter().map(|(k, _)| k.clone()).collect();

@@ -60,7 +60,7 @@ pub fn fsync_every_from_env_or(default: usize) -> usize {
 }
 
 /// Default group-commit interval for the batch sweep paths
-/// ([`crate::lab::ParallelLab::with_journal`] and the engines built
+/// ([`crate::lab::Lab::with_journal`] and the services built
 /// on it). Per-record fsync showed up as a parallel-scaling
 /// bottleneck: the merge loop fsyncs on the caller's thread, so at
 /// ~5 ms per fsync a 51-pair sweep spent more wall-clock committing

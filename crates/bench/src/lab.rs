@@ -1,17 +1,15 @@
-//! The memoizing experiment runners: the sequential [`Lab`] and the
-//! scoped-thread [`ParallelLab`] that fans a batch of (workload,
-//! organization) pairs across workers.
+//! The memoizing experiment lab: one [`Lab`] that simulates
+//! (workload, organization) pairs on demand or fans a batch of them
+//! across scoped worker threads.
 //!
-//! Both implement [`ResultSource`], the interface the figure
-//! renderers are written against, and both are backed by the same
-//! memo cache keyed on `(WorkloadId, OrgKind)`, so a pair is
-//! simulated at most once per lab no matter how figures overlap.
-//! Every simulation takes its seed from the lab's [`RunConfig`] and
-//! shares no mutable state with any other, which is why the parallel
-//! path is deterministic: the result of a pair is a pure function of
-//! `(pair, config)`, and [`ParallelLab::prefetch`] merges results
-//! back in submission order, so any thread count produces
-//! byte-identical figures and tables.
+//! Every path is backed by the same memo cache keyed on
+//! `(WorkloadId, OrgKind)`, so a pair is simulated at most once per
+//! lab no matter how figures overlap. Every simulation takes its seed
+//! from the lab's [`RunConfig`] and shares no mutable state with any
+//! other, which is why the batch path is deterministic: the result of
+//! a pair is a pure function of `(pair, config)`, and
+//! [`Lab::prefetch`] merges results back in submission order, so any
+//! thread count produces byte-identical figures and tables.
 
 use std::collections::{HashMap, HashSet};
 
@@ -50,8 +48,9 @@ pub type Pair = (WorkloadId, OrgKind);
 
 /// Simulates one pair from scratch. Pure: no shared state, seed and
 /// sizing come from `cfg`, so equal inputs give bit-identical
-/// [`RunResult`]s on any thread at any time — which is also why the
-/// sweep engine's retries are deterministic.
+/// [`RunResult`]s on any thread at any time — which is also why a
+/// failing pair is quarantined on its first attempt instead of
+/// retried: a re-run would fail the same way.
 pub(crate) fn simulate_pair(pair: Pair, cfg: &RunConfig) -> Result<RunResult, SimError> {
     match pair.0 {
         WorkloadId::Multithreaded(name) => try_run_multithreaded(name, pair.1, cfg),
@@ -63,11 +62,9 @@ pub(crate) fn simulate_pair(pair: Pair, cfg: &RunConfig) -> Result<RunResult, Si
     }
 }
 
-/// Anything that can produce memoized [`RunResult`]s for (workload,
-/// organization) pairs: the figure/table renderers are generic over
-/// this, so the sequential [`Lab`] and the [`ParallelLab`] share one
-/// rendering path (which is also how the determinism suite compares
-/// them byte for byte).
+/// Memoized single-pair lookups, implemented by [`Lab`]: on-demand
+/// results plus the relative-performance helpers the figure
+/// renderers are written with.
 pub trait ResultSource {
     /// The run configuration in use.
     fn config(&self) -> &RunConfig;
@@ -107,72 +104,7 @@ pub trait ResultSource {
     }
 }
 
-/// Runs (workload, organization) pairs on demand and memoizes the
-/// results, so the figures that share runs (5, 6, 7, 8, 9, 10 all
-/// reuse the shared/private baselines) simulate each pair once.
-pub struct Lab {
-    cfg: RunConfig,
-    cache: HashMap<Pair, RunResult>,
-    simulations: usize,
-}
-
-impl Lab {
-    /// Creates a lab with the given run sizing.
-    pub fn new(cfg: RunConfig) -> Self {
-        Lab { cfg, cache: HashMap::new(), simulations: 0 }
-    }
-
-    /// Number of simulations actually performed (as opposed to cache
-    /// hits). Equals [`ResultSource::runs`] unless results were
-    /// inserted from outside, as [`ParallelLab::prefetch`] does.
-    pub fn simulations(&self) -> usize {
-        self.simulations
-    }
-
-    /// Whether a pair is already cached.
-    pub fn contains(&self, workload: WorkloadId, kind: OrgKind) -> bool {
-        self.cache.contains_key(&(workload, kind))
-    }
-
-    /// Borrow of a cached result, if present.
-    pub(crate) fn get(&self, pair: Pair) -> Option<&RunResult> {
-        self.cache.get(&pair)
-    }
-
-    /// Inserts an externally simulated result (the parallel batch
-    /// path). Counts as a simulation performed by this lab.
-    fn insert(&mut self, pair: Pair, result: RunResult) {
-        self.simulations += 1;
-        self.cache.insert(pair, result);
-    }
-
-    /// Inserts a result restored from a checkpoint journal: cached,
-    /// but *not* counted as a simulation (nothing was computed).
-    fn restore(&mut self, pair: Pair, result: RunResult) {
-        self.cache.insert(pair, result);
-    }
-}
-
-impl ResultSource for Lab {
-    fn config(&self) -> &RunConfig {
-        &self.cfg
-    }
-
-    fn try_result(&mut self, workload: WorkloadId, kind: OrgKind) -> Result<&RunResult, SimError> {
-        let key = (workload, kind);
-        if !self.cache.contains_key(&key) {
-            let r = simulate_pair(key, &self.cfg)?;
-            self.insert(key, r);
-        }
-        Ok(&self.cache[&key])
-    }
-
-    fn runs(&self) -> usize {
-        self.cache.len()
-    }
-}
-
-/// Per-submission outcome of [`ParallelLab::run_batch`], aligned with
+/// Per-submission outcome of [`Lab::run_batch`], aligned with
 /// the submitted slice (duplicates included: every submission gets a
 /// slot, which is how the serving layer answers N coalesced requests
 /// from one simulation).
@@ -193,8 +125,8 @@ pub enum BatchSlot {
     /// a deterministic answer, never retried.
     Failed(SimError),
     /// An infrastructure fault (panic, deadline, lost worker)
-    /// survived every retry; details also in
-    /// [`ParallelLab::last_report`].
+    /// quarantined the job on its first attempt; details and the
+    /// replay line in [`Lab::last_report`].
     Quarantined(JobError),
 }
 
@@ -214,7 +146,7 @@ impl BatchSlot {
     }
 }
 
-/// Per-pair timing recorded by [`ParallelLab::prefetch`], in
+/// Per-pair timing recorded by [`Lab::prefetch`], in
 /// submission order of the deduplicated misses.
 #[derive(Clone, Debug)]
 pub struct PairTiming {
@@ -226,23 +158,27 @@ pub struct PairTiming {
     pub millis: f64,
 }
 
-/// A [`Lab`] with a batch front door: [`ParallelLab::prefetch`]
-/// deduplicates a batch of pairs against the memo cache, fans the
-/// misses out across `CMP_BENCH_THREADS` scoped workers (default:
-/// available parallelism), and merges the results back in submission
-/// order. Single lookups fall back to the sequential path, so the
-/// type is a drop-in [`ResultSource`].
+/// Runs (workload, organization) pairs and memoizes the results, so
+/// the figures that share runs (5, 6, 7, 8, 9, 10 all reuse the
+/// shared/private baselines) simulate each pair once.
 ///
-/// Batches run through the resilient sweep engine
-/// ([`crate::sweep`]): every job is panic-isolated, failed attempts
-/// are retried deterministically (a pair's result is a pure function
-/// of `(pair, config)`, so a re-run is bit-identical), and jobs that
-/// exhaust their budget are quarantined into [`ParallelLab::last_report`]
-/// instead of aborting the sweep. Attach a checkpoint journal with
-/// [`ParallelLab::with_journal`] and a killed sweep resumes exactly
-/// where it stopped.
-pub struct ParallelLab {
-    lab: Lab,
+/// Single lookups ([`ResultSource::try_result`]) simulate on the
+/// calling thread. [`Lab::prefetch`] and [`Lab::run_batch`] are the
+/// batch front door: they deduplicate a batch against the memo cache,
+/// fan the misses out across `CMP_BENCH_THREADS` scoped workers
+/// (default: available parallelism), and merge the results back in
+/// submission order.
+///
+/// Batches run through the sweep engine ([`crate::sweep`]): every job
+/// is panic-isolated, and a job that panics or overruns its deadline
+/// is quarantined on its first attempt into [`Lab::last_report`],
+/// together with a one-line replay request, instead of aborting the
+/// sweep. Attach a checkpoint journal with [`Lab::with_journal`] and a
+/// killed sweep resumes exactly where it stopped.
+pub struct Lab {
+    cfg: RunConfig,
+    cache: HashMap<Pair, RunResult>,
+    simulations: usize,
     threads: usize,
     resilience: Resilience,
     journal: Option<Journal>,
@@ -250,18 +186,20 @@ pub struct ParallelLab {
     last_report: SweepReport,
 }
 
-impl ParallelLab {
-    /// Creates a parallel lab with the worker count from
-    /// `CMP_BENCH_THREADS` (default: available parallelism).
+impl Lab {
+    /// Creates a lab with the worker count from `CMP_BENCH_THREADS`
+    /// (default: available parallelism) and no journal.
     pub fn new(cfg: RunConfig) -> Self {
         Self::with_threads(cfg, pool::default_threads())
     }
 
-    /// Creates a parallel lab with an explicit worker count (clamped
-    /// to at least 1).
+    /// Creates a lab with an explicit worker count (clamped to at
+    /// least 1).
     pub fn with_threads(cfg: RunConfig, threads: usize) -> Self {
-        ParallelLab {
-            lab: Lab::new(cfg),
+        Lab {
+            cfg,
+            cache: HashMap::new(),
+            simulations: 0,
             threads: threads.max(1),
             resilience: Resilience::default(),
             journal: None,
@@ -270,15 +208,14 @@ impl ParallelLab {
         }
     }
 
-    /// Creates a parallel lab checkpointing to (and resuming from)
-    /// the journal at `path`: completed records already on disk are
-    /// restored into the memo cache, and every pair simulated from
-    /// now on is appended as it completes. Appends are
-    /// group-committed (one fsync per
-    /// [`crate::journal::SWEEP_FSYNC_EVERY`] records, overridable via
-    /// [`crate::journal::FSYNC_EVERY_ENV`]) with a final sync when
-    /// each batch completes, so the per-record fsync never serializes
-    /// the sweep's merge loop.
+    /// Creates a lab checkpointing to (and resuming from) the journal
+    /// at `path`: completed records already on disk are restored into
+    /// the memo cache, and every pair simulated from now on is
+    /// appended as it completes. Appends are group-committed (one
+    /// fsync per [`crate::journal::SWEEP_FSYNC_EVERY`] records,
+    /// overridable via [`crate::journal::FSYNC_EVERY_ENV`]) with a
+    /// final sync when each batch completes, so the per-record fsync
+    /// never serializes the sweep's merge loop.
     pub fn with_journal(
         cfg: RunConfig,
         threads: usize,
@@ -290,15 +227,15 @@ impl ParallelLab {
         ));
         let mut lab = Self::with_threads(cfg, threads);
         lab.restored = records.len();
-        for (pair, result) in records {
-            lab.lab.restore(pair, result);
-        }
+        // Restored results are cached but not counted as simulations
+        // (nothing was computed).
+        lab.cache.extend(records);
         lab.journal = Some(journal);
         Ok(lab)
     }
 
-    /// Creates a parallel lab honouring the environment: worker count
-    /// from `CMP_BENCH_THREADS`, checkpoint journal from
+    /// Creates a lab honouring the environment: worker count from
+    /// `CMP_BENCH_THREADS`, checkpoint journal from
     /// [`crate::journal::JOURNAL_ENV`] when set and non-empty.
     pub fn from_env(cfg: RunConfig) -> Result<Self, SimError> {
         match std::env::var(crate::journal::JOURNAL_ENV) {
@@ -309,14 +246,9 @@ impl ParallelLab {
         }
     }
 
-    /// Overrides the retry/deadline/chaos policy for future batches.
+    /// Overrides the deadline/chaos policy for future batches.
     pub fn set_resilience(&mut self, resilience: Resilience) {
         self.resilience = resilience;
-    }
-
-    /// The active retry/deadline/chaos policy.
-    pub fn resilience(&self) -> &Resilience {
-        &self.resilience
     }
 
     /// The worker count batches fan out to.
@@ -324,10 +256,17 @@ impl ParallelLab {
         self.threads
     }
 
+    /// Overrides the worker count for future batches (clamped to at
+    /// least 1). The serving layer uses this to honour a request's
+    /// `max-concurrency` field.
+    pub fn set_threads(&mut self, threads: usize) {
+        self.threads = threads.max(1);
+    }
+
     /// Number of simulations actually performed (cache hits,
     /// duplicate submissions, and journal-restored pairs excluded).
     pub fn simulations(&self) -> usize {
-        self.lab.simulations()
+        self.simulations
     }
 
     /// Number of pairs restored from the checkpoint journal at
@@ -341,50 +280,69 @@ impl ParallelLab {
         self.journal.as_ref().map(Journal::path)
     }
 
-    /// The resilience report of the most recent
-    /// [`ParallelLab::prefetch`] batch (quarantined jobs, retries,
-    /// injected-fault accounting). Clean and empty before the first
-    /// batch.
+    /// The report of the most recent batch (quarantined jobs with
+    /// their replay lines, injected-fault accounting). Clean and
+    /// empty before the first batch.
     pub fn last_report(&self) -> &SweepReport {
         &self.last_report
     }
 
-    /// Appends a freshly simulated pair to the journal, detaching the
-    /// journal (loudly) on write failure so one disk hiccup does not
-    /// kill an hours-long sweep.
-    fn checkpoint(journal: &mut Option<Journal>, pair: Pair, result: &RunResult) {
-        if let Some(j) = journal {
-            if let Err(e) = j.append(pair, result) {
+    /// Whether a pair is already cached (a submission for it would be
+    /// answered without simulating).
+    pub fn contains(&self, workload: WorkloadId, kind: OrgKind) -> bool {
+        self.cache.contains_key(&(workload, kind))
+    }
+
+    /// Borrow of a cached result, if present (no simulation).
+    pub fn peek(&self, pair: Pair) -> Option<&RunResult> {
+        self.cache.get(&pair)
+    }
+
+    /// Caches a result computed on this lab's behalf — by the calling
+    /// thread, a pool worker, or a shard process — journaling it
+    /// first. Counts as a simulation.
+    fn insert(&mut self, pair: Pair, result: RunResult) {
+        if let Some(j) = &mut self.journal {
+            // Detach the journal (loudly) on write failure so one disk
+            // hiccup does not kill an hours-long sweep.
+            if let Err(e) = j.append(pair, &result) {
                 cmp_obs::warn!("sweep journaling disabled", cause = e);
-                *journal = None;
+                self.journal = None;
             }
+        }
+        self.simulations += 1;
+        self.cache.insert(pair, result);
+    }
+
+    /// Adopts a result computed outside this lab — the OS-process
+    /// shard path ([`crate::shard`]) — into the memo cache, with the
+    /// same journaling as a locally simulated pair. Counts as a
+    /// simulation (work was performed on this lab's behalf); a pair
+    /// already cached is left untouched.
+    pub fn adopt(&mut self, pair: Pair, result: RunResult) {
+        if !self.contains(pair.0, pair.1) {
+            self.insert(pair, result);
         }
     }
 
-    /// The batch engine core shared by [`ParallelLab::prefetch`] (the
-    /// CLI batch path) and the serving layer's [`crate::engine::Engine`]:
-    /// simulates every not-yet-cached pair of the batch across the
-    /// worker pool, merges fresh results into the memo cache (and the
-    /// journal) in submission order, and returns one [`BatchSlot`]
-    /// per *submission* — duplicates, cache hits, and
-    /// journal-restored pairs are simulated zero times but still
-    /// answered.
+    /// The batch core shared by [`Lab::prefetch`] (the CLI batch
+    /// path) and the serving layer: simulates every not-yet-cached
+    /// pair of the batch across the worker pool, merges fresh results
+    /// into the memo cache (and the journal) in submission order, and
+    /// returns one [`BatchSlot`] per *submission* — duplicates, cache
+    /// hits, and journal-restored pairs are simulated zero times but
+    /// still answered.
     ///
-    /// Faults (worker panics, deadline overruns) are retried up to
-    /// the [`Resilience`] budget; pairs that exhaust it come back as
-    /// [`BatchSlot::Quarantined`] and in [`ParallelLab::last_report`]
-    /// — the batch itself always completes.
+    /// A worker panic or deadline overrun quarantines its pair on the
+    /// first attempt: it comes back as [`BatchSlot::Quarantined`] and
+    /// in [`Lab::last_report`] — the batch itself always completes.
     pub fn run_batch(&mut self, pairs: &[Pair]) -> Vec<BatchSlot> {
         let _span = cmp_obs::span!("bench.prefetch");
         // Deduplicate in submission order, dropping cache hits.
         let mut seen = HashSet::new();
-        let misses: Vec<Pair> = pairs
-            .iter()
-            .copied()
-            .filter(|p| !self.lab.contains(p.0, p.1) && seen.insert(*p))
-            .collect();
-        let cfg = self.lab.cfg;
-        let (slots, report) = sweep::run_pairs(&misses, &cfg, self.threads, &self.resilience);
+        let misses: Vec<Pair> =
+            pairs.iter().copied().filter(|p| !self.contains(p.0, p.1) && seen.insert(*p)).collect();
+        let (slots, report) = sweep::run_pairs(&misses, &self.cfg, self.threads, &self.resilience);
         self.last_report = report;
         // Merge fresh results into the cache in submission order,
         // noting deterministic failures and which miss carried each
@@ -394,8 +352,7 @@ impl ParallelLab {
         for (pair, slot) in misses.into_iter().zip(slots) {
             match slot {
                 Some((Ok(r), millis)) => {
-                    Self::checkpoint(&mut self.journal, pair, &r);
-                    self.lab.insert(pair, r);
+                    self.insert(pair, r);
                     fresh_ms.insert(pair, millis);
                 }
                 Some((Err(e), _)) => {
@@ -424,14 +381,14 @@ impl ParallelLab {
                     BatchSlot::Failed(e.clone())
                 } else if let Some(e) = quarantined.get(&pair) {
                     BatchSlot::Quarantined(e.clone())
-                } else if let Some(r) = self.lab.get(pair) {
+                } else if let Some(r) = self.peek(pair) {
                     // The first submission of a fresh pair takes the
                     // timing; duplicates and cache hits report None.
                     BatchSlot::Done { result: Box::new(r.clone()), millis: fresh_ms.remove(&pair) }
                 } else {
-                    // Unreachable through the engine (every miss is
-                    // cached, failed, or quarantined); a defensive
-                    // answer beats a panic in a serving path.
+                    // Unreachable (every miss is cached, failed, or
+                    // quarantined); a defensive answer beats a panic
+                    // in a serving path.
                     BatchSlot::Quarantined(JobError::Cancelled)
                 }
             })
@@ -446,10 +403,10 @@ impl ParallelLab {
     /// every valid pair is still cached and the first error (in
     /// submission order) is returned.
     ///
-    /// Faults (worker panics, deadline overruns) are retried up to
-    /// the [`Resilience`] budget; pairs that exhaust it are
-    /// quarantined in [`ParallelLab::last_report`] — the batch itself
-    /// still completes with partial results.
+    /// A worker panic or deadline overrun quarantines its pair in
+    /// [`Lab::last_report`] — the batch itself still completes with
+    /// partial results, and the pair stays reachable on demand
+    /// through [`ResultSource::try_result`].
     pub fn prefetch(&mut self, pairs: &[Pair]) -> Result<Vec<PairTiming>, SimError> {
         let slots = self.run_batch(pairs);
         let mut timings = Vec::new();
@@ -470,37 +427,6 @@ impl ParallelLab {
         }
     }
 
-    /// Overrides the worker count for future batches (clamped to at
-    /// least 1). The serving layer uses this to honour a request's
-    /// `max-concurrency` field.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
-    /// Whether a pair is already in the memo cache (a submission for
-    /// it would be answered without simulating).
-    pub fn contains(&self, workload: WorkloadId, kind: OrgKind) -> bool {
-        self.lab.contains(workload, kind)
-    }
-
-    /// Borrow of a cached result, if present (no simulation).
-    pub fn peek(&self, pair: Pair) -> Option<&RunResult> {
-        self.lab.get(pair)
-    }
-
-    /// Adopts a result computed outside this lab — the OS-process
-    /// shard path ([`crate::shard`]) — into the memo cache, with the
-    /// same journaling as a locally simulated pair. Counts as a
-    /// simulation (work was performed on this lab's behalf); a pair
-    /// already cached is left untouched.
-    pub fn adopt(&mut self, pair: Pair, result: RunResult) {
-        if self.lab.contains(pair.0, pair.1) {
-            return;
-        }
-        Self::checkpoint(&mut self.journal, pair, &result);
-        self.lab.insert(pair, result);
-    }
-
     /// Overrides the journal's group-commit interval (no-op without a
     /// journal) — see [`crate::journal::FSYNC_EVERY_ENV`].
     pub fn set_journal_fsync_every(&mut self, every: usize) {
@@ -519,22 +445,22 @@ impl ParallelLab {
     }
 }
 
-impl ResultSource for ParallelLab {
+impl ResultSource for Lab {
     fn config(&self) -> &RunConfig {
-        self.lab.config()
+        &self.cfg
     }
 
     fn try_result(&mut self, workload: WorkloadId, kind: OrgKind) -> Result<&RunResult, SimError> {
-        let was_cached = self.lab.contains(workload, kind);
-        let result = self.lab.try_result(workload, kind)?;
-        if !was_cached {
-            Self::checkpoint(&mut self.journal, (workload, kind), result);
+        let key = (workload, kind);
+        if !self.cache.contains_key(&key) {
+            let r = simulate_pair(key, &self.cfg)?;
+            self.insert(key, r);
         }
-        Ok(result)
+        Ok(&self.cache[&key])
     }
 
     fn runs(&self) -> usize {
-        self.lab.runs()
+        self.cache.len()
     }
 }
 
@@ -595,7 +521,7 @@ mod tests {
             (oltp, OrgKind::Private),
             (oltp, OrgKind::Shared), // duplicate submission
         ];
-        let mut par = ParallelLab::with_threads(tiny_cfg(), 2);
+        let mut par = Lab::with_threads(tiny_cfg(), 2);
         let timings = par.prefetch(&pairs).unwrap();
         assert_eq!(timings.len(), 2, "duplicate must not be simulated");
         assert_eq!(par.simulations(), 2);
@@ -603,7 +529,7 @@ mod tests {
         assert!(par.prefetch(&pairs).unwrap().is_empty());
         assert_eq!(par.simulations(), 2);
 
-        let mut seq = Lab::new(tiny_cfg());
+        let mut seq = Lab::with_threads(tiny_cfg(), 1);
         for (w, k) in [(oltp, OrgKind::Shared), (oltp, OrgKind::Private)] {
             assert_eq!(par.result(w, k), seq.result(w, k), "{w:?}/{k:?}");
         }
@@ -618,7 +544,7 @@ mod tests {
             (bad, OrgKind::Shared),
             (oltp, OrgKind::Shared), // duplicate submission
         ];
-        let mut par = ParallelLab::with_threads(tiny_cfg(), 2);
+        let mut par = Lab::with_threads(tiny_cfg(), 2);
         let slots = par.run_batch(&pairs);
         assert_eq!(slots.len(), 3, "one slot per submission, duplicates included");
         assert!(
@@ -652,7 +578,7 @@ mod tests {
 
     #[test]
     fn prefetch_surfaces_first_error_but_caches_valid_pairs() {
-        let mut par = ParallelLab::with_threads(tiny_cfg(), 2);
+        let mut par = Lab::with_threads(tiny_cfg(), 2);
         let pairs = [
             (WorkloadId::Multithreaded("barnes"), OrgKind::Shared),
             (WorkloadId::Multithreaded("tpch"), OrgKind::Shared),

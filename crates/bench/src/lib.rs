@@ -3,8 +3,11 @@
 //! Experiment harness for the CMP-NuRAPID reproduction.
 //!
 //! One function per table/figure of the paper ([`figures`]), driven
-//! by a memoizing [`Lab`] so that the `all` binary reuses simulation
-//! runs across figures. Binaries under `src/bin/` print each
+//! by one memoizing [`Lab`] so that the `all` binary reuses simulation
+//! runs across figures. The lab simulates a pair on demand or fans a
+//! batch across worker threads; a batch job that panics or overruns
+//! its deadline is quarantined on its first attempt with a one-line
+//! replay request ([`sweep`]). Binaries under `src/bin/` print each
 //! experiment in the paper's layout together with the paper's
 //! reported values for side-by-side comparison:
 //!
@@ -19,7 +22,6 @@
 //! fast low-fidelity pass (CI smoke), defaulting to the full
 //! paper-scale configuration.
 
-pub mod engine;
 pub mod figures;
 pub mod journal;
 pub mod json;
@@ -32,10 +34,9 @@ pub mod spec;
 pub mod sweep;
 pub mod table;
 
-pub use engine::Engine;
 pub use journal::{Journal, FSYNC_EVERY_ENV, JOURNAL_ENV};
 pub use json::Json;
-pub use lab::{BatchSlot, Lab, Pair, PairTiming, ParallelLab, ResultSource, WorkloadId};
+pub use lab::{BatchSlot, Lab, Pair, PairTiming, ResultSource, WorkloadId};
 pub use obs_report::OBS_REPORT_PATH;
 pub use pool::{CancelToken, JobError};
 pub use scaling::{run_scaling, ScalingReport, ScalingRow};

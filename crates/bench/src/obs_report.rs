@@ -150,7 +150,7 @@ mod tests {
         Snapshot {
             counters: vec![
                 CounterSnapshot { name: "cache.l2.accesses".into(), value: 12_345 },
-                CounterSnapshot { name: "sweep.retries".into(), value: 2 },
+                CounterSnapshot { name: "sweep.quarantined".into(), value: 2 },
             ],
             histograms: vec![HistogramSnapshot {
                 name: "bus.arbitration_wait".into(),

@@ -4,10 +4,10 @@
 //!
 //! The sweep under test is the union of every figure's (workload,
 //! organization) pairs — the same 51-pair batch `parallel_lab` and
-//! the golden suite pin down — run once through the sequential
-//! [`Lab`](crate::Lab) and once per worker count through the
-//! [`Engine`](crate::Engine) facade (the front door the CLI batch
-//! binaries and the serving layer share). Each configuration is timed
+//! the golden suite pin down — run once through the [`Lab`](crate::Lab)'s
+//! on-demand lookups and once per worker count through its batch
+//! front door (the one the CLI batch binaries and the serving layer
+//! share). Each configuration is timed
 //! **best-of-N** (default 3) with every sample recorded, so one
 //! scheduler hiccup cannot trip the regression gate, and every
 //! parallel run is checked bit-identical to the sequential reference
@@ -26,7 +26,6 @@ use std::time::Instant;
 
 use cmp_sim::{RunConfig, SimError};
 
-use crate::engine::Engine;
 use crate::figures;
 use crate::json::Json;
 use crate::lab::{Lab, Pair, ResultSource};
@@ -246,9 +245,9 @@ pub fn run_scaling(
         let workers = workers.max(1);
         let mut samples_ms = Vec::with_capacity(samples);
         for sample in 0..samples {
-            let mut engine = Engine::with_threads(cfg, workers);
+            let mut lab = Lab::with_threads(cfg, workers);
             let t0 = Instant::now();
-            engine.prefetch(&unique)?;
+            lab.prefetch(&unique)?;
             samples_ms.push(t0.elapsed().as_secs_f64() * 1e3);
             // Bit-identity gate, on the last sample per row (every
             // sample runs the same pure jobs; checking one is enough
@@ -256,7 +255,7 @@ pub fn run_scaling(
             // charging the comparison to every sample).
             if sample + 1 == samples {
                 for &(w, k) in &unique {
-                    if engine.try_result(w, k)? != reference.result(w, k) {
+                    if lab.try_result(w, k)? != reference.result(w, k) {
                         identical = false;
                     }
                 }

@@ -35,7 +35,7 @@
 //! Simulation purity makes all of this safe: a pair's result is a
 //! pure function of `(pair, config)`, so a restarted worker's results
 //! are bit-identical to the lost worker's, and the merged report is
-//! byte-identical to a single-process [`crate::lab::ParallelLab`]
+//! byte-identical to a single-process [`crate::lab::Lab`]
 //! sweep — the `shard_chaos` gate in `cmp-serve` proves that equality
 //! on serialized bytes while SIGKILLing workers mid-sweep from a
 //! seeded [`KillSchedule`].
@@ -52,7 +52,7 @@ use cmp_sim::{RunConfig, RunResult, SimError, StopRule};
 
 use crate::journal::{run_result_from_json, run_result_to_json};
 use crate::json::Json;
-use crate::lab::Pair;
+use crate::lab::{Pair, WorkloadId};
 
 /// `shard.*` metrics taxonomy (inert unless `CMP_OBS=1`), folded once
 /// per [`run_sharded`] call from the per-shard stats.
@@ -375,11 +375,21 @@ pub fn worker_journal_path(base: &Path, shard: usize) -> PathBuf {
 
 /// The request line the supervisor sends a worker for global pair
 /// index `index` — the serving layer's own `run` schema, so the
-/// worker reuses `cmp-serve`'s strict validation unchanged.
+/// worker reuses `cmp-serve`'s strict validation unchanged. The same
+/// line is the replay artifact of a quarantined sweep job
+/// ([`crate::sweep::Quarantined::replay`]).
 pub fn request_line(index: usize, pair: Pair, cfg: &RunConfig) -> String {
     let mut req = Json::obj();
     req.set("type", Json::Str("run".into()));
     req.set("id", Json::Str(format!("p{index}")));
+    if let WorkloadId::Spec(s) = pair.0 {
+        // The whole scenario travels, pinned to this pair's org and
+        // the run's sizing: a bare name would miss (or worse, hit a
+        // catalog workload), and the receiver's defaults must not
+        // leak in.
+        req.set("spec", s.spec.pinned(pair.1, cfg).to_json());
+        return req.compact();
+    }
     req.set("workload", Json::Str(pair.0.name().into()));
     req.set("org", Json::Str(pair.1.name().into()));
     req.set("warmup-accesses", Json::Num(cfg.warmup_accesses as f64));
@@ -780,7 +790,6 @@ fn record_obs(shards: &[ShardStats]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lab::WorkloadId;
     use cmp_sim::OrgKind;
 
     fn pairs(n: usize) -> Vec<Pair> {
@@ -858,6 +867,21 @@ mod tests {
         let v = Json::parse(&line).expect("valid JSON");
         assert_eq!(v.get("approx"), Some(&Json::Bool(true)));
         assert_eq!(v.get("metric").and_then(|t| t.as_str()), Some("ipc"));
+    }
+
+    #[test]
+    fn spec_request_lines_carry_the_pinned_scenario() {
+        // Named like a catalog workload: a bare name would run the
+        // 4-core catalog oltp instead of this 16-core scenario.
+        let spec = crate::spec::ScenarioSpec::parse_str(r#"{"name":"oltp","cores":16}"#).unwrap();
+        let pair = (WorkloadId::Spec(crate::spec::intern(&spec)), OrgKind::Private);
+        let v = Json::parse(&request_line(2, pair, &RunConfig::sized(200, 400, 7))).unwrap();
+        assert!(v.get("workload").is_none(), "a spec pair never travels by name");
+        let sent = v.get("spec").expect("the scenario travels whole");
+        assert_eq!(sent.get("cores").and_then(|t| t.as_f64()), Some(16.0));
+        assert_eq!(sent.get("org").and_then(|t| t.as_str()), Some("private"), "the pair's org");
+        assert_eq!(sent.get("measure-accesses").and_then(|t| t.as_f64()), Some(400.0));
+        assert_eq!(sent.get("seed").and_then(|t| t.as_f64()), Some(7.0));
     }
 
     #[test]

@@ -363,6 +363,27 @@ impl ScenarioSpec {
         cfg
     }
 
+    /// This spec with `org` and the effective run configuration
+    /// (`run_config(defaults)`) written in, so it names one exact
+    /// simulation: whoever parses it back gets the same sizing, seed
+    /// and stop rule whatever their own defaults. A fixed stop rule is
+    /// written as no stop rule: the wire has no spelling for it, and
+    /// a service's defaults always use it.
+    pub fn pinned(&self, org: OrgKind, defaults: &RunConfig) -> ScenarioSpec {
+        let cfg = self.run_config(defaults);
+        ScenarioSpec {
+            org,
+            warmup_accesses: Some(cfg.warmup_accesses),
+            measure_accesses: Some(cfg.measure_accesses),
+            seed: Some(cfg.seed),
+            stop: match cfg.stop {
+                StopRule::Fixed => None,
+                rule => Some(rule),
+            },
+            ..self.clone()
+        }
+    }
+
     /// Instantiates the workload at this spec's core count and
     /// sharing degree.
     pub fn workload(&self, seed: u64) -> SyntheticWorkload {

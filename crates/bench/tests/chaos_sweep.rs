@@ -1,15 +1,16 @@
-//! Chaos convergence suite: a sweep with seeded worker panics and
-//! deadline-cancelled stalls must converge — via deterministic
-//! retries — to exactly the fault-free answer, at 2 and at 8 worker
-//! threads, and a job that exhausts its retry budget must be
-//! quarantined without aborting the batch.
+//! Quarantine suite: a sweep with one seeded worker panic and one
+//! deadline-cancelled stall must attempt each faulty job exactly once
+//! and quarantine it with a replay line, keep every other pair
+//! bit-identical to the fault-free answer, and still serve the
+//! quarantined pairs on demand — at 2 and at 8 worker threads.
 
 use std::sync::Once;
 use std::time::Duration;
 
-use cmp_audit::{ChaosEvent, ChaosSchedule, ChaosSpec};
-use cmp_bench::{figures, Pair, ParallelLab, Resilience, ResultSource, WorkloadId};
-use cmp_sim::{OrgKind, RunConfig};
+use cmp_audit::{ChaosEvent, ChaosSchedule};
+use cmp_bench::shard::request_line;
+use cmp_bench::{figures, Lab, Pair, Resilience, ResultSource};
+use cmp_sim::RunConfig;
 
 /// Stalls run far past the deadline, so only the watchdog ends them.
 const STALL_MILLIS: u64 = 30_000;
@@ -39,90 +40,74 @@ fn quiet_injected_panics() {
     });
 }
 
-fn converges_at(threads: usize) {
+fn quarantines_at(threads: usize) {
     quiet_injected_panics();
     let submitted = figures::pairs::fig6();
     let mut seen = std::collections::HashSet::new();
     let unique: Vec<Pair> = submitted.iter().copied().filter(|p| seen.insert(*p)).collect();
 
     // Fault-free reference.
-    let mut reference = ParallelLab::with_threads(tiny_cfg(), threads);
+    let mut reference = Lab::with_threads(tiny_cfg(), threads);
     reference.prefetch(&submitted).unwrap();
     assert!(reference.last_report().is_clean(), "{}", reference.last_report().summary());
     let want_figure = figures::fig6(&mut reference);
 
-    // Chaos run: seeded schedule, events armed on first attempts only,
-    // so the retry budget guarantees convergence.
-    let schedule = ChaosSchedule::seeded(0xBAD_5EED, unique.len(), 2, 1, STALL_MILLIS);
-    let armed_panics =
-        schedule.specs().iter().filter(|s| s.event == ChaosEvent::WorkerPanic).count();
-    let armed_stalls = schedule.len() - armed_panics;
-    let mut chaos = ParallelLab::with_threads(tiny_cfg(), threads);
-    chaos.set_resilience(Resilience {
-        max_attempts: 3,
-        deadline: Some(DEADLINE),
-        chaos: Some(schedule),
-    });
+    // One seeded panic and one stall the deadline cuts short.
+    let schedule = ChaosSchedule::seeded(0xBAD_5EED, unique.len(), 1, 1, STALL_MILLIS);
+    let armed: Vec<Pair> = schedule.specs().iter().map(|s| unique[s.job]).collect();
+    let panicker = schedule.specs().iter().find(|s| s.event == ChaosEvent::WorkerPanic);
+    let panicker = unique[panicker.unwrap().job];
+    let mut chaos = Lab::with_threads(tiny_cfg(), threads);
+    chaos.set_resilience(Resilience { deadline: Some(DEADLINE), chaos: Some(schedule) });
+    let capture = cmp_obs::Capture::install();
     chaos.prefetch(&submitted).unwrap();
 
-    let report = chaos.last_report();
-    assert!(report.panicked >= armed_panics, "armed panics never fired: {}", report.summary());
-    assert!(report.timed_out >= armed_stalls, "armed stalls never timed out: {}", report.summary());
-    assert!(report.retries >= armed_panics + armed_stalls, "{}", report.summary());
-    assert!(report.quarantined.is_empty(), "failed to converge: {}", report.summary());
+    // Each faulty job ran once and was quarantined; nothing else was.
+    let report = chaos.last_report().clone();
+    assert_eq!(report.panicked, 1, "the panic was attempted once: {}", report.summary());
+    assert_eq!(report.timed_out, 1, "the stall was attempted once: {}", report.summary());
+    let quarantined: Vec<Pair> = report.quarantined.iter().map(|q| q.pair).collect();
+    assert_eq!(quarantined.len(), 2, "{}", report.summary());
+    assert!(armed.iter().all(|p| quarantined.contains(p)), "{quarantined:?} vs {armed:?}");
+    assert_eq!(chaos.simulations(), unique.len() - 2, "quarantined jobs are not retried");
+    let panicked = report.quarantined.iter().find(|q| q.pair == panicker).unwrap();
+    assert!(panicked.error.to_string().contains("injected worker panic"), "{}", panicked.error);
 
-    // Bit-identical convergence, result by result and figure byte by
-    // figure byte.
-    for &(w, k) in &unique {
-        let want = reference.result(w, k).clone();
-        assert_eq!(chaos.result(w, k), &want, "{}/{} diverged under chaos", w.name(), k.name());
+    // Each quarantine carries the pair's serve request as its replay
+    // line, and its warning names it.
+    for q in &report.quarantined {
+        let index = unique.iter().position(|p| *p == q.pair).unwrap();
+        assert_eq!(q.replay, request_line(index, q.pair, &tiny_cfg()));
+        assert!(
+            capture.contains(&format!("replay={}", q.replay)),
+            "warning must carry the replay line: {:?}",
+            capture.lines()
+        );
     }
-    assert_eq!(figures::fig6(&mut chaos), want_figure, "figure bytes diverged under chaos");
+    drop(capture);
+
+    // Every other pair is bit-identical to the fault-free sweep.
+    for &(w, k) in unique.iter().filter(|p| !quarantined.contains(p)) {
+        assert!(chaos.peek((w, k)).is_some(), "{}/{} missing", w.name(), k.name());
+        assert_eq!(chaos.peek((w, k)), reference.peek((w, k)), "{}/{}", w.name(), k.name());
+    }
+
+    // A quarantined pair re-runs on demand, bit-identically (no chaos
+    // outside the batch path), so the figure still renders the same
+    // bytes.
+    for &(w, k) in &quarantined {
+        let want = reference.result(w, k).clone();
+        assert_eq!(chaos.try_result(w, k).unwrap(), &want, "{}/{} replay", w.name(), k.name());
+    }
+    assert_eq!(figures::fig6(&mut chaos), want_figure, "figure bytes diverged");
 }
 
 #[test]
-fn chaos_sweep_converges_on_two_threads() {
-    converges_at(2);
+fn faulty_jobs_quarantine_once_on_two_threads() {
+    quarantines_at(2);
 }
 
 #[test]
-fn chaos_sweep_converges_on_eight_threads() {
-    converges_at(8);
-}
-
-#[test]
-fn exhausted_retries_quarantine_without_aborting_the_sweep() {
-    quiet_injected_panics();
-    let pairs: Vec<Pair> = vec![
-        (WorkloadId::Multithreaded("barnes"), OrgKind::Shared),
-        (WorkloadId::Multithreaded("barnes"), OrgKind::Private),
-        (WorkloadId::Mix("MIX2"), OrgKind::Shared),
-    ];
-    // Job 1 panics on every attempt of its budget.
-    let specs = (0..2)
-        .map(|attempt| ChaosSpec { job: 1, attempt, event: ChaosEvent::WorkerPanic })
-        .collect();
-    let mut lab = ParallelLab::with_threads(tiny_cfg(), 2);
-    lab.set_resilience(Resilience {
-        max_attempts: 2,
-        deadline: None,
-        chaos: Some(ChaosSchedule::new(specs)),
-    });
-
-    // Quarantine is a partial result, not an error: prefetch succeeds.
-    let timings = lab.prefetch(&pairs).unwrap();
-    assert_eq!(timings.len(), 2, "the two healthy pairs still complete");
-    assert_eq!(lab.simulations(), 2);
-    let report = lab.last_report().clone();
-    assert_eq!(report.quarantined.len(), 1);
-    assert_eq!(report.quarantined[0].pair, pairs[1]);
-    assert_eq!(report.quarantined[0].attempts, 2);
-    assert!(report.first_failure().is_some());
-
-    // The quarantined pair is still reachable on demand through the
-    // sequential path (no chaos there), so figures can always render.
-    let mut reference = ParallelLab::with_threads(tiny_cfg(), 1);
-    let want = reference.result(pairs[1].0, pairs[1].1).clone();
-    assert_eq!(lab.result(pairs[1].0, pairs[1].1), &want);
-    assert_eq!(lab.simulations(), 3);
+fn faulty_jobs_quarantine_once_on_eight_threads() {
+    quarantines_at(8);
 }

@@ -7,7 +7,7 @@
 //! every counter), rendered figure text, and the numeric series the
 //! golden suite snapshots.
 
-use cmp_bench::{figures, Lab, ParallelLab, ResultSource, WorkloadId};
+use cmp_bench::{figures, Lab, ResultSource, WorkloadId};
 use cmp_sim::{OrgKind, RunConfig};
 
 fn cfg() -> RunConfig {
@@ -27,7 +27,7 @@ fn parallel_lab_matches_sequential_at_1_2_8_and_16_threads() {
         seq.try_result(w, k).expect("sequential run");
     }
     for threads in [1, 2, 8, 16] {
-        let mut par = ParallelLab::with_threads(cfg(), threads);
+        let mut par = Lab::with_threads(cfg(), threads);
         par.prefetch(&grid()).expect("parallel sweep");
         for (w, k) in grid() {
             assert_eq!(
@@ -57,7 +57,7 @@ fn sweep_under_enabled_obs_is_bit_identical_across_runs() {
     }
     let mut runs = Vec::new();
     for _ in 0..2 {
-        let mut par = ParallelLab::with_threads(cfg(), 16);
+        let mut par = Lab::with_threads(cfg(), 16);
         par.prefetch(&grid()).expect("parallel sweep under CMP_OBS=1");
         runs.push(par);
     }
@@ -94,7 +94,7 @@ fn second_run_at_same_seed_is_bit_identical() {
 fn mixes_are_thread_count_invariant_too() {
     let pairs: Vec<_> = OrgKind::ALL.into_iter().map(|k| (WorkloadId::Mix("MIX2"), k)).collect();
     let mut seq = Lab::new(cfg());
-    let mut par = ParallelLab::with_threads(cfg(), 8);
+    let mut par = Lab::with_threads(cfg(), 8);
     par.prefetch(&pairs).expect("parallel sweep");
     for (w, k) in pairs {
         assert_eq!(par.result(w, k), seq.result(w, k), "{}/{}", w.name(), k.name());
@@ -104,7 +104,7 @@ fn mixes_are_thread_count_invariant_too() {
 #[test]
 fn every_figure_renders_byte_identically_from_the_parallel_lab() {
     let mut seq = Lab::new(cfg());
-    let mut par = ParallelLab::with_threads(cfg(), 8);
+    let mut par = Lab::with_threads(cfg(), 8);
     par.prefetch(&figures::pairs::all()).expect("parallel sweep");
 
     let figures_seq: Vec<String> = vec![
@@ -135,10 +135,8 @@ fn every_figure_renders_byte_identically_from_the_parallel_lab() {
 
     // The numeric series (what the golden suite snapshots and what
     // the figure JSON is built from) must agree exactly as well.
-    for ((name, _, extract_seq), (_, _, extract_par)) in
-        figures::series::catalog::<Lab>().into_iter().zip(figures::series::catalog::<ParallelLab>())
-    {
-        assert_eq!(extract_seq(&mut seq), extract_par(&mut par), "series {name} diverged");
+    for (name, _, extract) in figures::series::catalog() {
+        assert_eq!(extract(&mut seq), extract(&mut par), "series {name} diverged");
     }
 
     // And the parallel sweep took no more simulations than the

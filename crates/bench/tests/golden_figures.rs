@@ -15,7 +15,7 @@
 
 use std::path::PathBuf;
 
-use cmp_bench::{figures, Json, ParallelLab, ResultSource};
+use cmp_bench::{figures, Json, Lab, ResultSource};
 use cmp_sim::RunConfig;
 
 fn goldens_dir() -> PathBuf {
@@ -45,12 +45,12 @@ use figures::series::golden_json;
 fn golden_figures_match() {
     let cfg = RunConfig::default();
     let update = std::env::var("UPDATE_GOLDENS").is_ok_and(|v| v == "1");
-    let mut lab = ParallelLab::new(cfg);
+    let mut lab = Lab::new(cfg);
     // One batch for the whole sweep: everything lands on the pool.
     lab.prefetch(&figures::pairs::all()).expect("sweep must simulate");
 
     let mut failures: Vec<String> = Vec::new();
-    for (name, _, extract) in figures::series::catalog::<ParallelLab>() {
+    for (name, _, extract) in figures::series::catalog() {
         let series = extract(&mut lab);
         let current = golden_json(name, lab.config(), &series);
         let path = goldens_dir().join(format!("{name}.json"));
@@ -120,7 +120,7 @@ fn golden_figures_match() {
 
 #[test]
 fn goldens_exist_for_every_catalogued_figure() {
-    for (name, _, _) in figures::series::catalog::<ParallelLab>() {
+    for (name, _, _) in figures::series::catalog() {
         let path = goldens_dir().join(format!("{name}.json"));
         assert!(
             path.exists() || std::env::var("UPDATE_GOLDENS").is_ok_and(|v| v == "1"),

@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 
-use cmp_bench::{ParallelLab, ResultSource, WorkloadId};
+use cmp_bench::{Lab, ResultSource, WorkloadId};
 use cmp_sim::{OrgKind, RunConfig};
 
 const WORKLOADS: [WorkloadId; 4] = [
@@ -28,7 +28,7 @@ proptest! {
         ops in proptest::collection::vec((0usize..4, 0usize..8, any::<bool>()), 1..12),
         threads in 1usize..5,
     ) {
-        let mut lab = ParallelLab::with_threads(tiny_cfg(), threads);
+        let mut lab = Lab::with_threads(tiny_cfg(), threads);
         let mut unique = std::collections::HashSet::new();
         for (w, o, batch) in ops {
             if batch {

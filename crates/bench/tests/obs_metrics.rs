@@ -3,7 +3,7 @@
 //! rendered with obs fully enabled is byte-identical to the stock
 //! golden fixture (the zero-perturbation contract), and that a small
 //! chaos-injected, journaled sweep actually fires the counter
-//! taxonomy end to end (L2 accesses, bus snoops, sweep retries,
+//! taxonomy end to end (L2 accesses, bus snoops, sweep quarantines,
 //! journal appends).
 //!
 //! Every test enables the layer and none disables it, so the tests
@@ -15,7 +15,7 @@ use std::sync::Once;
 
 use cmp_audit::{ChaosEvent, ChaosSchedule, ChaosSpec};
 use cmp_bench::obs_report::{snapshot_from_json, snapshot_to_json};
-use cmp_bench::{figures, Json, ParallelLab, Resilience, ResultSource, WorkloadId};
+use cmp_bench::{figures, Json, Lab, Resilience, ResultSource, WorkloadId};
 use cmp_sim::{OrgKind, RunConfig};
 
 fn goldens_dir() -> PathBuf {
@@ -49,7 +49,7 @@ fn quiet_injected_panics() {
 fn live_snapshot_roundtrips_through_json_text() {
     cmp_obs::set_enabled(true);
     // Touch the taxonomy so the snapshot is non-trivial.
-    let mut lab = ParallelLab::with_threads(RunConfig::sized(200, 400, 3), 2);
+    let mut lab = Lab::with_threads(RunConfig::sized(200, 400, 3), 2);
     lab.prefetch(&[(WorkloadId::Multithreaded("barnes"), OrgKind::Shared)]).unwrap();
     let snap = cmp_obs::snapshot();
     assert!(!snap.counters.is_empty(), "a sweep must register counters");
@@ -67,11 +67,9 @@ fn live_snapshot_roundtrips_through_json_text() {
 fn golden_figure_is_byte_identical_with_obs_enabled() {
     cmp_obs::set_enabled(true);
     let cfg = RunConfig::default();
-    let mut lab = ParallelLab::new(cfg);
-    let (name, pairs, extract) = figures::series::catalog::<ParallelLab>()
-        .into_iter()
-        .next()
-        .expect("catalog is never empty");
+    let mut lab = Lab::new(cfg);
+    let (name, pairs, extract) =
+        figures::series::catalog().into_iter().next().expect("catalog is never empty");
     lab.prefetch(&pairs).unwrap();
     let series = extract(&mut lab);
     let current = format!("{}\n", figures::series::golden_json(name, lab.config(), &series));
@@ -95,25 +93,23 @@ fn chaos_journaled_sweep_fires_the_counter_taxonomy() {
     let journal =
         std::env::temp_dir().join(format!("cmp_obs_metrics_{}.jsonl", std::process::id()));
     let _ = std::fs::remove_file(&journal);
-    let mut lab = ParallelLab::with_journal(cfg, 2, &journal).unwrap();
-    // Panic job 0's first attempt: the retry succeeds, so the sweep
-    // stays complete while sweep.retries goes nonzero.
+    let mut lab = Lab::with_journal(cfg, 2, &journal).unwrap();
+    // Panic job 0: it is quarantined, so sweep.panics and
+    // sweep.quarantined go nonzero while the other pairs complete.
     lab.set_resilience(Resilience {
-        max_attempts: 3,
-        chaos: Some(ChaosSchedule::new(vec![ChaosSpec {
-            job: 0,
-            attempt: 0,
-            event: ChaosEvent::WorkerPanic,
-        }])),
+        chaos: Some(ChaosSchedule::new(vec![ChaosSpec { job: 0, event: ChaosEvent::WorkerPanic }])),
         ..Resilience::default()
     });
+    let capture = cmp_obs::Capture::install();
     lab.prefetch(&[
         (WorkloadId::Multithreaded("barnes"), OrgKind::Shared),
         (WorkloadId::Multithreaded("barnes"), OrgKind::Private),
         (WorkloadId::Multithreaded("oltp"), OrgKind::Nurapid),
     ])
     .unwrap();
-    assert!(lab.last_report().is_clean() || lab.last_report().retries > 0);
+    assert_eq!(lab.last_report().quarantined.len(), 1, "{}", lab.last_report().summary());
+    assert!(capture.contains("sweep job quarantined"), "{:?}", capture.lines());
+    drop(capture);
     let _ = std::fs::remove_file(&journal);
 
     let snap = cmp_obs::snapshot();
@@ -124,8 +120,7 @@ fn chaos_journaled_sweep_fires_the_counter_taxonomy() {
         "coherence.c_transitions",
         "sim.runs",
         "sim.accesses",
-        "sweep.attempts",
-        "sweep.retries",
+        "sweep.quarantined",
         "sweep.panics",
         "journal.appends",
     ] {

@@ -12,7 +12,7 @@ use std::collections::HashSet;
 use std::io::Write as _;
 use std::path::PathBuf;
 
-use cmp_bench::{figures, Pair, ParallelLab, ResultSource};
+use cmp_bench::{figures, Lab, Pair, ResultSource};
 use cmp_sim::{RunConfig, RunResult};
 
 fn tiny_cfg() -> RunConfig {
@@ -36,7 +36,7 @@ fn batch() -> (Vec<Pair>, Vec<Pair>) {
 
 /// Reference: the uninterrupted, journal-free answer.
 fn reference(submitted: &[Pair], unique: &[Pair]) -> (Vec<RunResult>, String) {
-    let mut lab = ParallelLab::with_threads(tiny_cfg(), 2);
+    let mut lab = Lab::with_threads(tiny_cfg(), 2);
     lab.prefetch(submitted).unwrap();
     let results = unique.iter().map(|&(w, k)| lab.result(w, k).clone()).collect();
     (results, figures::fig5(&mut lab))
@@ -68,7 +68,7 @@ fn run_resume_scenario(name: &str, torn_tail: bool) {
     // fact by truncating its journal to `keep` records.
     let path = temp_journal(name);
     {
-        let mut first = ParallelLab::with_journal(tiny_cfg(), 2, &path).unwrap();
+        let mut first = Lab::with_journal(tiny_cfg(), 2, &path).unwrap();
         assert_eq!(first.restored(), 0, "fresh journal must restore nothing");
         first.prefetch(&submitted).unwrap();
         assert_eq!(first.simulations(), n);
@@ -76,7 +76,7 @@ fn run_resume_scenario(name: &str, torn_tail: bool) {
     kill_journal(&path, keep, torn_tail);
 
     // Resume: restore the survivors, simulate only the remainder.
-    let mut resumed = ParallelLab::with_journal(tiny_cfg(), 2, &path).unwrap();
+    let mut resumed = Lab::with_journal(tiny_cfg(), 2, &path).unwrap();
     assert_eq!(resumed.restored(), keep, "must restore exactly the intact records");
     resumed.prefetch(&submitted).unwrap();
     assert_eq!(resumed.simulations(), n - keep, "resume must re-simulate only the lost pairs");
@@ -90,7 +90,7 @@ fn run_resume_scenario(name: &str, torn_tail: bool) {
 
     // And the journal healed: a third open restores all N records.
     drop(resumed);
-    let third = ParallelLab::with_journal(tiny_cfg(), 2, &path).unwrap();
+    let third = Lab::with_journal(tiny_cfg(), 2, &path).unwrap();
     assert_eq!(third.restored(), n, "resumed run must have re-journaled the lost pairs");
     let _ = std::fs::remove_file(&path);
 }
@@ -125,14 +125,14 @@ fn resume_under_group_commit_is_byte_identical() {
 
     let path = temp_journal("group-commit");
     {
-        let mut first = ParallelLab::with_journal(tiny_cfg(), 2, &path).unwrap();
+        let mut first = Lab::with_journal(tiny_cfg(), 2, &path).unwrap();
         first.set_journal_fsync_every(8);
         first.prefetch(&submitted).unwrap();
         assert_eq!(first.simulations(), n);
     }
     kill_journal(&path, keep, true);
 
-    let mut resumed = ParallelLab::with_journal(tiny_cfg(), 2, &path).unwrap();
+    let mut resumed = Lab::with_journal(tiny_cfg(), 2, &path).unwrap();
     resumed.set_journal_fsync_every(8);
     assert_eq!(resumed.restored(), keep, "must restore exactly the synced prefix");
     resumed.prefetch(&submitted).unwrap();
@@ -146,7 +146,7 @@ fn resume_under_group_commit_is_byte_identical() {
     // The healed journal is complete even though the resumed run also
     // group-committed: the batch-end sync (and Drop) flush the tail.
     drop(resumed);
-    let third = ParallelLab::with_journal(tiny_cfg(), 2, &path).unwrap();
+    let third = Lab::with_journal(tiny_cfg(), 2, &path).unwrap();
     assert_eq!(third.restored(), n, "group-committed resume must re-journal the lost pairs");
     let _ = std::fs::remove_file(&path);
 }
@@ -156,10 +156,10 @@ fn on_demand_lookups_are_journaled_too() {
     let path = temp_journal("on-demand");
     let (w, k) = figures::pairs::fig5()[0];
     {
-        let mut lab = ParallelLab::with_journal(tiny_cfg(), 2, &path).unwrap();
+        let mut lab = Lab::with_journal(tiny_cfg(), 2, &path).unwrap();
         lab.try_result(w, k).unwrap();
     }
-    let mut lab = ParallelLab::with_journal(tiny_cfg(), 2, &path).unwrap();
+    let mut lab = Lab::with_journal(tiny_cfg(), 2, &path).unwrap();
     assert_eq!(lab.restored(), 1, "single sequential lookups must checkpoint as well");
     lab.try_result(w, k).unwrap();
     assert_eq!(lab.simulations(), 0);

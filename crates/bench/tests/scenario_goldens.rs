@@ -19,7 +19,7 @@
 
 use std::path::PathBuf;
 
-use cmp_bench::{spec, Json, Pair, ParallelLab, ResultSource, ScenarioSpec, WorkloadId};
+use cmp_bench::{spec, Json, Lab, Pair, ResultSource, ScenarioSpec, WorkloadId};
 use cmp_cache::AccessClass;
 use cmp_sim::{OrgKind, RunConfig};
 
@@ -57,7 +57,7 @@ fn family(base: &ScenarioSpec) -> Vec<(&'static spec::InternedSpec, OrgKind)> {
 /// Renders the family's results as the snapshot text. Exact counts
 /// and derived ratios both go in: the gate is byte identity, not a
 /// tolerance band, because every run is a pure function of the spec.
-fn render(base: &ScenarioSpec, lab: &mut ParallelLab) -> String {
+fn render(base: &ScenarioSpec, lab: &mut Lab) -> String {
     let members = family(base);
     let pairs: Vec<Pair> = members.iter().map(|&(s, o)| (WorkloadId::Spec(s), o)).collect();
     lab.prefetch(&pairs).expect("scenario family must simulate");
@@ -100,7 +100,7 @@ fn check_family(spec_file: &str, golden_name: &str) {
     let renders: Vec<(usize, String)> = [1usize, 2, 8]
         .into_iter()
         .map(|threads| {
-            let mut lab = ParallelLab::with_threads(defaults, threads);
+            let mut lab = Lab::with_threads(defaults, threads);
             (threads, render(&base, &mut lab))
         })
         .collect();

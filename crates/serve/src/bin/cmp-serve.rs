@@ -25,8 +25,8 @@
 //!
 //! Shutdown semantics (no signal handling without a libc
 //! dependency): EOF on stdin or a `{"type":"drain"}` request starts
-//! a graceful drain — admitted jobs finish (including their retry
-//! backoff), queued-but-refused work is shed with structured
+//! a graceful drain — admitted jobs finish, queued-but-refused work
+//! is shed with structured
 //! responses, journal shards are fsynced, and a `drained` summary is
 //! the final line. With `CMP_OBS=1`, a `BENCH_serve.json` report
 //! (serve counters plus latency percentiles from the obs
@@ -34,9 +34,8 @@
 
 use std::io::{BufRead, Write};
 use std::net::TcpListener;
-use std::sync::mpsc::{self, RecvTimeoutError, TryRecvError};
+use std::sync::mpsc::{self, TryRecvError};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 use cmp_bench::Json;
 use cmp_serve::{conn, ConnOptions, ServeOptions, Service};
@@ -111,8 +110,8 @@ fn emit(out: &mut impl Write, responses: &[Json]) -> bool {
 }
 
 /// The stdin/stdout serving loop: ingest greedily (coalescing
-/// pipelined duplicates into one batch), process ready jobs, sleep
-/// only as long as the nearest retry backoff.
+/// pipelined duplicates into one batch), process the queue, then block
+/// for the next request.
 fn serve_stdin(service: &Arc<Mutex<Service>>) -> i32 {
     let (tx, rx) = mpsc::channel::<String>();
     std::thread::spawn(move || {
@@ -154,43 +153,24 @@ fn serve_stdin(service: &Arc<Mutex<Service>>) -> i32 {
         if svc.is_draining() {
             return 0;
         }
-        let wait = svc.next_ready_in();
+        // Idle at EOF with nothing queued: graceful drain.
+        if eof {
+            let responses = svc.drain();
+            emit(&mut out, &responses);
+            return 0;
+        }
         drop(svc);
 
-        match (wait, eof) {
-            // Jobs became ready while we processed — go again.
-            (Some(d), _) if d == Duration::ZERO => {}
-            // Backoff pending: sleep at most until it matures.
-            (Some(d), true) => std::thread::sleep(d),
-            (Some(d), false) => match rx.recv_timeout(d) {
-                Ok(line) => {
-                    let mut svc = service.lock().unwrap_or_else(|p| p.into_inner());
-                    let responses = svc.handle_line(&line);
-                    if !emit(&mut out, &responses) {
-                        return 0;
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => eof = true,
-            },
-            // Idle at EOF with nothing queued: graceful drain.
-            (None, true) => {
+        // Idle, stream open: block for the next request.
+        match rx.recv() {
+            Ok(line) => {
                 let mut svc = service.lock().unwrap_or_else(|p| p.into_inner());
-                let responses = svc.drain();
-                emit(&mut out, &responses);
-                return 0;
-            }
-            // Idle, stream open: block for the next request.
-            (None, false) => match rx.recv() {
-                Ok(line) => {
-                    let mut svc = service.lock().unwrap_or_else(|p| p.into_inner());
-                    let responses = svc.handle_line(&line);
-                    if !emit(&mut out, &responses) {
-                        return 0;
-                    }
+                let responses = svc.handle_line(&line);
+                if !emit(&mut out, &responses) {
+                    return 0;
                 }
-                Err(_) => eof = true,
-            },
+            }
+            Err(_) => eof = true,
         }
     }
 }
@@ -210,7 +190,6 @@ fn write_bench_report(svc: &Service) -> Result<(), cmp_sim::SimError> {
     counters.set("deadline_expired", Json::Num(stats.deadline_expired as f64));
     counters.set("drained", Json::Num(stats.drained as f64));
     counters.set("completed", Json::Num(stats.completed as f64));
-    counters.set("retried", Json::Num(stats.retried as f64));
     counters.set("failed", Json::Num(stats.failed as f64));
     counters.set("invalid", Json::Num(stats.invalid as f64));
     report.set("counters", counters);

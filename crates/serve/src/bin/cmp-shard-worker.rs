@@ -31,7 +31,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cmp_bench::journal::run_result_to_json;
-use cmp_bench::{BatchSlot, Json, ParallelLab, ResultSource};
+use cmp_bench::{BatchSlot, Json, Lab, ResultSource};
 use cmp_serve::request::{error_response, parse_line, JobSpec, Request};
 use cmp_sim::{RunConfig, SimError};
 
@@ -148,7 +148,7 @@ fn main() {
     // The lab is built lazily from the first job's run configuration
     // (which binds the journal header); the supervisor sends one
     // partition per process, so later jobs must agree.
-    let mut lab: Option<ParallelLab> = None;
+    let mut lab: Option<Lab> = None;
     let mut jobs_done = 0usize;
     let mut simulated = 0usize;
     let defaults = RunConfig::quick();
@@ -217,7 +217,7 @@ fn main() {
 
 /// Runs (or re-answers from the journal-backed cache) one job.
 /// Returns `(cached, response_line)`.
-fn run_job(args: &Args, lab: &mut Option<ParallelLab>, spec: &JobSpec) -> (bool, Json) {
+fn run_job(args: &Args, lab: &mut Option<Lab>, spec: &JobSpec) -> (bool, Json) {
     if lab.is_none() {
         *lab = Some(build_lab(args, &spec.cfg));
     }
@@ -278,9 +278,9 @@ fn job_error(spec: &JobSpec, err: &SimError) -> Json {
 /// A single-threaded journal-backed lab for this partition. fsync is
 /// per record: a shard worker's entire reason to exist is surviving
 /// `kill -9`, so group commit's batching trade is wrong here.
-fn build_lab(args: &Args, cfg: &RunConfig) -> ParallelLab {
+fn build_lab(args: &Args, cfg: &RunConfig) -> Lab {
     match &args.journal {
-        Some(path) => match ParallelLab::with_journal(*cfg, 1, path) {
+        Some(path) => match Lab::with_journal(*cfg, 1, path) {
             Ok(mut lab) => {
                 lab.set_journal_fsync_every(1);
                 let mut resumed = status_line("resumed", args.shard, args.attempt);
@@ -297,12 +297,12 @@ fn build_lab(args: &Args, cfg: &RunConfig) -> ParallelLab {
                     error = msg
                 );
                 emit_resumed_zero(args);
-                ParallelLab::with_threads(*cfg, 1)
+                Lab::with_threads(*cfg, 1)
             }
         },
         None => {
             emit_resumed_zero(args);
-            ParallelLab::with_threads(*cfg, 1)
+            Lab::with_threads(*cfg, 1)
         }
     }
 }

@@ -17,7 +17,7 @@
 //! ```
 //!
 //! `--check` re-runs the sweep in-process through the same
-//! [`cmp_bench::ParallelLab`] the CLI batch path uses and asserts
+//! [`cmp_bench::Lab`] the CLI batch path uses and asserts
 //! every shard-computed result is byte-identical — the OS-process
 //! split is an isolation boundary, never a numerics fork. The merged
 //! [`cmp_bench::MultiShardReport`] is written to `BENCH_shard.json`.
@@ -29,7 +29,7 @@ use std::path::PathBuf;
 
 use cmp_bench::journal::run_result_to_json;
 use cmp_bench::shard::{run_sharded, ShardOptions, ShardSlot};
-use cmp_bench::{Pair, ParallelLab, WorkloadId, MULTITHREADED};
+use cmp_bench::{Lab, Pair, WorkloadId, MULTITHREADED};
 use cmp_serve::{env, worker_binary};
 use cmp_sim::{OrgKind, RunConfig};
 
@@ -132,7 +132,7 @@ fn check_against_in_process(
     cfg: &RunConfig,
     report: &cmp_bench::MultiShardReport,
 ) -> usize {
-    let mut lab = ParallelLab::new(*cfg);
+    let mut lab = Lab::new(*cfg);
     lab.run_batch(pairs);
     let mut mismatches = 0;
     for (pair, slot) in pairs.iter().zip(&report.slots) {

@@ -5,13 +5,15 @@
 //! property does not hold:
 //!
 //! 1. **Seeded chaos flood** — a request flood exceeding the bounded
-//!    queue's capacity more than 4×, with worker panics and stalls
+//!    queue's capacity more than 4×, with worker panics and a stall
 //!    injected into the first batch by a seeded [`ChaosSchedule`].
 //!    Checks: the queue never admits past capacity, every refused
 //!    job gets a structured `shed` response, every admitted job is
-//!    eventually answered (zero lost results despite the injected
-//!    faults), and every served result is byte-identical to the CLI
-//!    batch path's result for the same pair.
+//!    answered in one pass (zero lost responses), each panicked job
+//!    is answered with a structured job-failed error whose `replay`
+//!    line parses back to the same pair and sizing, and every other
+//!    served result is byte-identical to the [`Lab`] path's result
+//!    for the same pair.
 //! 2. **Deadline cancellation fencing** — requests with a 1 ms
 //!    deadline must come back `deadline-expired`, never with a
 //!    result, and must not poison the cache for later requests.
@@ -30,9 +32,8 @@ use std::time::Duration;
 
 use cmp_audit::ChaosSchedule;
 use cmp_bench::journal::run_result_to_json;
-use cmp_bench::sweep::Resilience;
 use cmp_bench::{Json, Lab, Pair, ResultSource, MULTITHREADED};
-use cmp_serve::{shard_journal_path, ServeOptions, Service};
+use cmp_serve::{parse_line, shard_journal_path, Request, ServeOptions, Service};
 use cmp_sim::{OrgKind, RunConfig};
 
 fn main() {
@@ -50,7 +51,7 @@ fn main() {
     };
     let mut failures: Vec<String> = Vec::new();
 
-    // The CLI reference: the same pairs through the sequential Lab,
+    // The reference: the same pairs looked up one at a time in a Lab,
     // serialized to the exact bytes the journal/wire use.
     let orgs = [OrgKind::Shared, OrgKind::Private, OrgKind::Nurapid];
     let pairs: Vec<Pair> = MULTITHREADED
@@ -99,17 +100,21 @@ fn flood_phase(
     let mut opts = ServeOptions::new(cfg);
     opts.queue_capacity = CAPACITY;
     opts.threads = 4;
-    opts.backoff = Duration::from_millis(2);
-    opts.max_retries = 3;
-    // Force the serve-level retry path: no in-sweep retries, so a
-    // chaos panic quarantines the job and the service must requeue
-    // it with backoff.
-    opts.resilience = Resilience { max_attempts: 1, deadline: None, chaos: None };
     // One-shot chaos on the first batch: 2 panics + 1 stall across
-    // the batch. The panics quarantine (one attempt only) and must
-    // come back through serve-level retry; the 20 ms stall just
-    // delays its job, proving slow work is not mistaken for failure.
-    opts.chaos = Some(ChaosSchedule::seeded(0x5EED, CAPACITY.min(pairs.len()), 2, 1, 20));
+    // the batch. The panics quarantine on their only attempt and must
+    // come back as job-failed errors with replay lines; the 20 ms
+    // stall just delays its job, proving slow work is not mistaken
+    // for failure.
+    let schedule = ChaosSchedule::seeded(0x5EED, CAPACITY.min(pairs.len()), 2, 1, 20);
+    // The first batch is the admitted jobs f0..f7 in order, all
+    // distinct pairs, so chaos job i is request f{i}.
+    let armed: Vec<String> = schedule
+        .specs()
+        .iter()
+        .filter(|s| s.event == cmp_audit::ChaosEvent::WorkerPanic)
+        .map(|s| format!("f{}", s.job))
+        .collect();
+    opts.chaos = Some(schedule);
     let mut svc = Service::new(opts);
 
     // Flood: 5x capacity of run requests submitted before any
@@ -149,32 +154,22 @@ fn flood_phase(
         failures.push(format!("expected {} sheds, saw {sheds}", flood - CAPACITY));
     }
 
-    // Drive the service until every admitted job is answered,
-    // sleeping through retry backoffs like the binary's worker loop.
+    // One pass answers every admitted job: nothing waits for a retry.
     let mut answered: HashMap<String, Json> = HashMap::new();
-    let mut rounds = 0;
-    loop {
-        for resp in svc.process_ready() {
-            let id = resp.get("id").and_then(|v| v.as_str()).unwrap_or("?").to_string();
-            answered.insert(id, resp);
-        }
-        match svc.next_ready_in() {
-            None => break,
-            Some(d) => std::thread::sleep(d.max(Duration::from_millis(1))),
-        }
-        rounds += 1;
-        if rounds > 1_000 {
-            failures.push("flood did not converge within 1000 rounds".into());
-            break;
-        }
+    for resp in svc.process_ready() {
+        let id = resp.get("id").and_then(|v| v.as_str()).unwrap_or("?").to_string();
+        answered.insert(id, resp);
+    }
+    if svc.pending() != 0 {
+        failures.push(format!("{} job(s) still queued after one pass", svc.pending()));
     }
     for id in &expected_answers {
         match answered.get(id) {
             None => failures.push(format!("admitted job {id} got no response (lost in-flight)")),
+            Some(resp) if armed.contains(id) => check_replay(cfg, id, resp, failures),
             Some(resp) => {
                 if resp.get("type").and_then(|t| t.as_str()) != Some("result") {
-                    failures
-                        .push(format!("admitted job {id} did not converge to a result: {resp}"));
+                    failures.push(format!("admitted job {id} did not answer a result: {resp}"));
                 } else {
                     let served = resp.get("result").map(|r| r.compact()).unwrap_or_default();
                     let expect = reference.get(&key_of(resp));
@@ -190,11 +185,11 @@ fn flood_phase(
     }
     let stats = svc.stats();
     eprintln!(
-        "serve_chaos flood: admitted={} shed={} retried={} deduped={} completed={}",
-        stats.admitted, stats.shed, stats.retried, stats.deduped, stats.completed
+        "serve_chaos flood: admitted={} shed={} failed={} deduped={} completed={}",
+        stats.admitted, stats.shed, stats.failed, stats.deduped, stats.completed
     );
-    if stats.retried == 0 {
-        failures.push("chaos armed but no serve-level retry was exercised".into());
+    if stats.failed != armed.len() as u64 {
+        failures.push(format!("{} armed panic(s) but {} failed job(s)", armed.len(), stats.failed));
     }
 
     // Phase 2: deadline fencing. A 1 ms deadline on a pair that was
@@ -238,6 +233,29 @@ fn flood_phase(
     }
     if svc.simulations() != sims_before + 1 {
         failures.push("expired job left a partial simulation behind".into());
+    }
+}
+
+/// An armed job's answer: a structured job-failed error whose replay
+/// line is a valid `run` request for the same pair and sizing.
+fn check_replay(cfg: RunConfig, id: &str, resp: &Json, failures: &mut Vec<String>) {
+    let kind = resp.get("kind").and_then(|k| k.as_str());
+    if resp.get("type").and_then(|t| t.as_str()) != Some("error") || kind != Some("failed") {
+        failures.push(format!("armed job {id} was not answered job-failed: {resp}"));
+        return;
+    }
+    let Some(replay) = resp.get("replay").and_then(|r| r.as_str()) else {
+        failures.push(format!("armed job {id} failed without a replay line: {resp}"));
+        return;
+    };
+    match parse_line(replay, cfg, 65_536) {
+        Ok(Request::Jobs(jobs))
+            if jobs.len() == 1
+                && format!("{}/{}", jobs[0].pair.0.name(), jobs[0].pair.1.name())
+                    == key_of(resp)
+                && jobs[0].cfg.measure_accesses == cfg.measure_accesses
+                && jobs[0].cfg.seed == cfg.seed => {}
+        other => failures.push(format!("job {id} replay {replay} parses to {other:?}")),
     }
 }
 

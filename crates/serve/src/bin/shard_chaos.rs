@@ -2,7 +2,7 @@
 //! supervisor — the OS-process analogue of `serve_chaos`.
 //!
 //! Three phases, each asserting against a single-process
-//! [`cmp_bench::ParallelLab`] reference on serialized bytes:
+//! [`cmp_bench::Lab`] reference on serialized bytes:
 //!
 //! * **Phase A — fault-free**: a sharded sweep with no chaos must be
 //!   clean (every worker finishes on its first life) and
@@ -28,7 +28,7 @@ use std::time::Duration;
 
 use cmp_bench::journal::run_result_to_json;
 use cmp_bench::shard::{run_sharded, KillSchedule, MultiShardReport, ShardOptions, ShardSlot};
-use cmp_bench::{Pair, ParallelLab, WorkloadId, MULTITHREADED};
+use cmp_bench::{Lab, Pair, WorkloadId, MULTITHREADED};
 use cmp_serve::{env, worker_binary};
 use cmp_sim::{OrgKind, RunConfig};
 
@@ -64,7 +64,7 @@ fn main() {
         .collect();
 
     // The single-process reference every phase compares against.
-    let mut reference = ParallelLab::new(cfg);
+    let mut reference = Lab::new(cfg);
     reference.run_batch(&pairs);
 
     let scratch =
@@ -183,7 +183,7 @@ fn byte_mismatches(
     phase: &str,
     pairs: &[Pair],
     report: &MultiShardReport,
-    reference: &ParallelLab,
+    reference: &Lab,
 ) -> usize {
     let mut mismatches = 0;
     for (i, (pair, slot)) in pairs.iter().zip(&report.slots).enumerate() {

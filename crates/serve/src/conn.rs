@@ -72,7 +72,7 @@ impl ConnOptions {
 
 /// The bounded TCP accept loop: each admitted connection speaks the
 /// same NDJSON protocol as stdin and is answered synchronously
-/// (admit, process to completion, respond); the engine and its
+/// (admit, process to completion, respond); the labs and their
 /// caches are shared across connections and with stdin, so a pair
 /// simulated for one client is a cache hit for the next. Runs until
 /// the listener errors out; callers put it on its own thread.
@@ -158,20 +158,12 @@ fn handle_connection(stream: TcpStream, service: &Arc<Mutex<Service>>, opts: &Co
     }
 }
 
-/// Handles one request line to completion: admit, then process ready
-/// jobs (honouring retry backoff) until this connection's work is
-/// answered.
+/// Handles one request line to completion: admit, then process the
+/// queue, which answers this connection's work.
 fn answer_line(service: &Arc<Mutex<Service>>, line: &str) -> Vec<Json> {
     let mut svc = service.lock().unwrap_or_else(|p| p.into_inner());
     let mut responses = svc.handle_line(line);
-    loop {
-        responses.extend(svc.process_ready());
-        match svc.next_ready_in() {
-            Some(d) if d > Duration::ZERO => std::thread::sleep(d),
-            Some(_) => {}
-            None => break,
-        }
-    }
+    responses.extend(svc.process_ready());
     responses
 }
 

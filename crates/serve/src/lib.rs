@@ -1,12 +1,12 @@
 #![warn(missing_docs)]
 
-//! Simulation-as-a-service over the resilient sweep engine.
+//! Simulation-as-a-service over the experiment lab.
 //!
 //! `cmp-serve` turns the batch experiment harness into a long-lived
 //! service: newline-delimited JSON requests in (stdin or a TCP
 //! socket), newline-delimited JSON responses out, with the
 //! robustness properties a shared endpoint needs layered on top of
-//! the engine the CLI binaries already use:
+//! the [`cmp_bench::Lab`] the CLI binaries already use:
 //!
 //! * bounded admission queue with explicit load shedding — overload
 //!   answers with a structured `shed` response, never with unbounded
@@ -22,9 +22,10 @@
 //! * per-request deadlines propagated into the supervised pool's
 //!   cancellation tokens, with timed-out work fenced so no partial
 //!   result escapes;
-//! * bounded retry with exponential backoff for transient
-//!   infrastructure faults (worker panics, stalls);
-//! * concurrent-duplicate coalescing through the engine's memo
+//! * quarantine on first failure: a job whose worker panics or
+//!   stalls is answered with a structured job-failed error carrying a
+//!   one-line `replay` request that reproduces it;
+//! * concurrent-duplicate coalescing through the lab's memo
 //!   cache: N identical requests cost one simulation and produce N
 //!   responses;
 //! * crash-consistent per-shard checkpoint journaling with
@@ -33,7 +34,7 @@
 //!   with structured responses, journals are fsynced.
 //!
 //! Because the service and the CLI batch path share one
-//! [`cmp_bench::engine::Engine`], a result served here is
+//! [`cmp_bench::Lab`], a result served here is
 //! byte-identical to the same pair run by `parallel_lab` or the
 //! figure binaries — the chaos suite (`serve_chaos`) and the flood
 //! tests assert that equality on serialized bytes.

@@ -251,6 +251,10 @@ fn parse_spec_job(
         other => other,
     })?;
     let (deadline, max_concurrency) = parse_limits(value)?;
+    // Pin the resolved sizing into the spec before interning: one
+    // simulation gets one cache key however it was spelled, and the
+    // key survives a round trip through `shard::request_line`.
+    let spec = spec.pinned(spec.org, &defaults);
     let cfg = spec.run_config(&defaults);
     let org = spec.org;
     let interned = cmp_bench::spec::intern(&spec);
@@ -261,7 +265,7 @@ fn parse_spec_job(
         deadline,
         max_concurrency,
         // Echo the canonical form so the client sees exactly what
-        // ran, defaults filled in.
+        // ran, defaults and sizing filled in.
         scenario: vec![("spec".to_string(), spec.to_json())],
     };
     Ok(Request::Jobs(vec![job]))

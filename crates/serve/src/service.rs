@@ -1,5 +1,5 @@
 //! The serving core: a bounded admission queue in front of the
-//! shared sweep [`Engine`].
+//! shared memoizing [`Lab`].
 //!
 //! The core is deliberately synchronous and single-threaded — the
 //! binaries wrap it in reader/worker threads, tests drive it step by
@@ -14,11 +14,12 @@
 //!   jobs are answered without simulating; jobs that expire mid-run
 //!   are cut by the supervised pool's cancellation fence, so no
 //!   partial result can escape into the cache or the journal.
-//! * **Retry with backoff**: a job quarantined by the sweep engine
-//!   (panic, stall, lost worker) re-enters the queue with
-//!   exponentially growing `not-before` times, up to `max_retries`;
-//!   simulation purity makes the retry bit-identical when it
-//!   succeeds.
+//! * **Quarantine on first failure**: a job the sweep quarantines
+//!   (panic, stall, lost worker) is answered at once with a
+//!   structured job-failed error carrying a `replay` line — the
+//!   pair's `run` request, which reproduces the failure when piped
+//!   back in. Simulation purity means a retry would fail the same
+//!   way, so there is none; only the shard supervisor restarts work.
 //! * **Coalescing**: requests for an already-cached or in-batch
 //!   duplicate pair are answered from one simulation (`cached: true`
 //!   in the response, `serve.deduped` in the metrics).
@@ -36,11 +37,10 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use cmp_audit::ChaosSchedule;
-use cmp_bench::engine::Engine;
 use cmp_bench::journal::run_result_to_json;
-use cmp_bench::shard::{run_sharded, ShardOptions, ShardSlot};
+use cmp_bench::shard::{request_line, run_sharded, ShardOptions, ShardSlot};
 use cmp_bench::sweep::Resilience;
-use cmp_bench::{BatchSlot, JobError, Json, Pair};
+use cmp_bench::{BatchSlot, JobError, Json, Lab, Pair};
 use cmp_obs::{Counter, Histogram};
 use cmp_sim::{RunConfig, SimError};
 
@@ -54,7 +54,6 @@ static DEDUPED: Counter = Counter::new("serve.deduped");
 static DEADLINE_EXPIRED: Counter = Counter::new("serve.deadline_expired");
 static DRAINED: Counter = Counter::new("serve.drained");
 static COMPLETED: Counter = Counter::new("serve.completed");
-static RETRIED: Counter = Counter::new("serve.retried");
 static FAILED: Counter = Counter::new("serve.failed");
 static INVALID: Counter = Counter::new("serve.invalid");
 /// Admission-to-result latency of completed jobs, in milliseconds.
@@ -78,11 +77,6 @@ pub mod env {
     /// Journal group-commit interval while serving (integer >= 1,
     /// default 8; see `CMP_JOURNAL_FSYNC_EVERY` for the CLI default).
     pub const FSYNC_EVERY: &str = "CMP_SERVE_FSYNC_EVERY";
-    /// Serve-level retries for quarantined jobs (integer, default 2).
-    pub const RETRIES: &str = "CMP_SERVE_RETRIES";
-    /// Base backoff between serve-level retries in milliseconds
-    /// (integer, default 50; doubles per attempt).
-    pub const BACKOFF_MS: &str = "CMP_SERVE_BACKOFF_MS";
     /// Base path for per-shard checkpoint journals (default: no
     /// journaling).
     pub const JOURNAL: &str = "CMP_SERVE_JOURNAL";
@@ -117,18 +111,11 @@ pub struct ServeOptions {
     pub journal_base: Option<PathBuf>,
     /// Journal group-commit interval (1 = fsync every record).
     pub fsync_every: usize,
-    /// Serve-level retries for quarantined jobs (0 = fail fast).
-    pub max_retries: u32,
-    /// Base backoff before a serve-level retry; doubles per attempt.
-    pub backoff: Duration,
     /// Run sizing for requests that leave fields unset.
     pub default_config: RunConfig,
-    /// In-sweep resilience template (per-batch deadline and chaos are
-    /// layered on top of this).
-    pub resilience: Resilience,
     /// One-shot chaos schedule applied to the first batch only
-    /// (chaos tests); in-sweep and serve-level retries must then
-    /// converge to fault-free results.
+    /// (chaos tests): armed jobs are quarantined and answered with
+    /// job-failed errors carrying replay lines.
     pub chaos: Option<ChaosSchedule>,
     /// Worker *processes* for the OS-process sharded batch path
     /// ([`cmp_bench::shard`]); `0` or `1` keeps every batch
@@ -142,8 +129,8 @@ pub struct ServeOptions {
 
 impl ServeOptions {
     /// Defaults: bounded queue of 64, pool-default threads, no
-    /// deadline, 64 KiB lines, no journal, group commit of 8, two
-    /// retries at 50 ms backoff, quick run sizing.
+    /// deadline, 64 KiB lines, no journal, group commit of 8, no
+    /// process sharding.
     pub fn new(default_config: RunConfig) -> ServeOptions {
         ServeOptions {
             queue_capacity: 64,
@@ -152,10 +139,7 @@ impl ServeOptions {
             max_line_bytes: 65_536,
             journal_base: None,
             fsync_every: 8,
-            max_retries: 2,
-            backoff: Duration::from_millis(50),
             default_config,
-            resilience: Resilience::default(),
             chaos: None,
             shard_workers: 0,
             shard_worker: None,
@@ -180,12 +164,6 @@ impl ServeOptions {
         }
         if let Some(n) = cmp_obs::env_parse_valid::<usize>(env::FSYNC_EVERY, |n| *n >= 1) {
             o.fsync_every = n;
-        }
-        if let Some(n) = cmp_obs::env_parse_valid::<u32>(env::RETRIES, |_| true) {
-            o.max_retries = n;
-        }
-        if let Some(ms) = cmp_obs::env_parse_valid::<u64>(env::BACKOFF_MS, |_| true) {
-            o.backoff = Duration::from_millis(ms);
         }
         if let Ok(base) = std::env::var(env::JOURNAL) {
             if !base.trim().is_empty() {
@@ -236,9 +214,8 @@ pub struct ServeStats {
     pub drained: u64,
     /// Jobs answered with a result.
     pub completed: u64,
-    /// Serve-level retries of quarantined jobs.
-    pub retried: u64,
-    /// Jobs that exhausted every retry (or failed deterministically).
+    /// Jobs answered with an error: quarantined on their first
+    /// failure, or rejected deterministically by the simulator.
     pub failed: u64,
     /// Request lines rejected by validation.
     pub invalid: u64,
@@ -248,15 +225,11 @@ struct Queued {
     spec: JobSpec,
     admitted_at: Instant,
     deadline_at: Option<Instant>,
-    /// Serve-level attempts already spent (0 = never batched).
-    attempts: u32,
-    /// Earliest instant the job may re-enter a batch (retry backoff).
-    not_before: Option<Instant>,
 }
 
 /// Sizing plus the stop rule (its floats bit-cast so the key stays
-/// `Ord`/`Eq`): an approx job must never share an engine — and its
-/// memo cache — with an exact job of the same sizing.
+/// `Ord`/`Eq`): an approx job must never share a lab — and its memo
+/// cache — with an exact job of the same sizing.
 type ShardKey = (u64, u64, u64, u64, u64, u64);
 
 fn shard_key(cfg: &RunConfig) -> ShardKey {
@@ -272,7 +245,7 @@ fn shard_key(cfg: &RunConfig) -> ShardKey {
 /// The serving core. See the module docs for the property list.
 pub struct Service {
     opts: ServeOptions,
-    engines: Vec<(ShardKey, Engine)>,
+    labs: Vec<(ShardKey, Lab)>,
     queue: VecDeque<Queued>,
     chaos: Option<ChaosSchedule>,
     draining: bool,
@@ -286,7 +259,7 @@ impl Service {
         let chaos = opts.chaos.clone();
         Service {
             opts,
-            engines: Vec::new(),
+            labs: Vec::new(),
             queue: VecDeque::new(),
             chaos,
             draining: false,
@@ -312,26 +285,12 @@ impl Service {
 
     /// Total simulations actually performed across every shard.
     pub fn simulations(&self) -> usize {
-        self.engines.iter().map(|(_, e)| e.simulations()).sum()
+        self.labs.iter().map(|(_, lab)| lab.simulations()).sum()
     }
 
     /// Pairs restored from journals across every shard.
     pub fn restored(&self) -> usize {
-        self.engines.iter().map(|(_, e)| e.restored()).sum()
-    }
-
-    /// How long until some queued job becomes ready: `Some(0)` when a
-    /// job is ready now, the shortest backoff otherwise, `None` on an
-    /// empty queue. Drives the worker's sleep.
-    pub fn next_ready_in(&self) -> Option<Duration> {
-        let now = Instant::now();
-        self.queue
-            .iter()
-            .map(|q| match q.not_before {
-                Some(t) if t > now => t - now,
-                _ => Duration::ZERO,
-            })
-            .min()
+        self.labs.iter().map(|(_, lab)| lab.restored()).sum()
     }
 
     /// Handles one request line: parses, validates, and either
@@ -380,8 +339,6 @@ impl Service {
                         spec,
                         admitted_at: now,
                         deadline_at: deadline.map(|d| now + d),
-                        attempts: 0,
-                        not_before: None,
                     });
                     self.stats.admitted += 1;
                     ADMITTED.inc();
@@ -391,23 +348,12 @@ impl Service {
         }
     }
 
-    /// Runs every ready queued job through the engine and returns
-    /// their response lines. Jobs in retry backoff stay queued; call
-    /// again after [`Service::next_ready_in`].
+    /// Runs every queued job through its lab and returns their
+    /// response lines; the queue is empty afterwards.
     pub fn process_ready(&mut self) -> Vec<Json> {
         let now = Instant::now();
         let mut responses = Vec::new();
-
-        // Pop the ready jobs; leave backoff jobs queued.
-        let mut ready = Vec::new();
-        let mut still_queued = VecDeque::new();
-        while let Some(q) = self.queue.pop_front() {
-            match q.not_before {
-                Some(t) if t > now => still_queued.push_back(q),
-                _ => ready.push(q),
-            }
-        }
-        self.queue = still_queued;
+        let ready = std::mem::take(&mut self.queue);
 
         // Deadline fence #1: expired while queued — answered without
         // ever simulating.
@@ -418,8 +364,7 @@ impl Service {
         }
 
         // Group by (run-config shard, requested deadline, concurrency
-        // cap): jobs in a group share an engine call and a pool
-        // deadline. BTreeMap keeps group order deterministic.
+        // cap): jobs in a group share one batch and a pool deadline. BTreeMap keeps group order deterministic.
         type GroupKey = (ShardKey, Option<u64>, Option<usize>);
         let mut groups: BTreeMap<GroupKey, Vec<Queued>> = BTreeMap::new();
         for q in ready {
@@ -452,7 +397,7 @@ impl Service {
     }
 
     /// The single-process batch path: the group runs through the
-    /// shared engine's supervised thread pool.
+    /// shared lab's supervised thread pool.
     fn in_process_batch(
         &mut self,
         shard: ShardKey,
@@ -463,35 +408,28 @@ impl Service {
         let now = Instant::now();
         let chaos = self.chaos.take();
         let threads = self.opts.threads;
-        let base_resilience = self.opts.resilience.clone();
-        let engine = self.engine_for(shard, cfg);
-        engine.set_threads(max_concurrency.map_or(threads, |c| c.min(threads)));
+        let lab = self.lab_for(shard, cfg);
+        lab.set_threads(max_concurrency.map_or(threads, |c| c.min(threads)));
 
         // Pool deadline: the tightest remaining budget in the group
-        // (conservative for the others; a spurious timeout retries).
-        let pool_deadline = group
+        // (the group shares one requested deadline, so the jobs'
+        // budgets differ only by their admission instants).
+        let deadline = group
             .iter()
             .filter_map(|q| q.deadline_at)
             .map(|t| t.saturating_duration_since(now))
             .min();
-        let mut resilience = base_resilience;
-        if pool_deadline.is_some() {
-            resilience.deadline = pool_deadline;
-        }
-        if chaos.is_some() {
-            resilience.chaos = chaos;
-        }
-        engine.set_resilience(resilience);
+        lab.set_resilience(Resilience { deadline, chaos });
 
         let pairs: Vec<Pair> = group.iter().map(|q| q.spec.pair).collect();
-        engine.run_batch(&pairs)
+        lab.run_batch(&pairs)
     }
 
     /// The OS-process sharded batch path: with [`ServeOptions::shard_workers`]
     /// at 2+ and a resolvable worker binary, a group of 2+ distinct
     /// uncached pairs fans out across `cmp-shard-worker` processes
     /// ([`cmp_bench::shard`]); results are adopted into the shared
-    /// engine so coalescing, journaling, and the stats surface stay
+    /// lab so coalescing, journaling, and the stats surface stay
     /// coherent with the in-process path. Returns `None` when the
     /// path does not apply (the caller falls back in-process).
     fn shard_batch(
@@ -509,19 +447,18 @@ impl Service {
             );
             return None;
         };
-        let engine = self.engine_for(shard, cfg);
+        let lab = self.lab_for(shard, cfg);
         let mut seen = HashSet::new();
         let misses: Vec<Pair> = group
             .iter()
             .map(|q| q.spec.pair)
-            .filter(|p| !engine.contains(*p) && seen.insert(*p))
+            .filter(|p| !lab.contains(p.0, p.1) && seen.insert(*p))
             .collect();
         if misses.len() < 2 {
             return None; // a process fleet for one pair is overhead, not isolation
         }
 
         let mut sopts = ShardOptions::new(self.opts.shard_workers);
-        sopts.max_attempts = self.opts.resilience.max_attempts.max(1);
         sopts.journal_base =
             self.opts.journal_base.as_ref().map(|base| shard_journal_path(base, &cfg));
         let report = run_sharded(&worker, &misses, &cfg, &sopts);
@@ -529,14 +466,14 @@ impl Service {
         let mut failed: HashMap<Pair, cmp_sim::SimError> = HashMap::new();
         let mut quarantined: HashMap<Pair, String> = HashMap::new();
         let mut fresh_ms: HashMap<Pair, f64> = HashMap::new();
-        let engine = self.engine_for(shard, cfg);
+        let lab = self.lab_for(shard, cfg);
         for (pair, slot) in report.pairs.iter().zip(report.slots) {
             match slot {
                 ShardSlot::Done { result, millis } => {
                     if let Some(ms) = millis {
                         fresh_ms.insert(*pair, ms);
                     }
-                    engine.adopt(*pair, *result);
+                    lab.adopt(*pair, *result);
                 }
                 ShardSlot::Failed(e) => {
                     failed.insert(*pair, e);
@@ -546,12 +483,11 @@ impl Service {
                 }
             }
         }
-        if let Err(e) = engine.sync_journal() {
+        if let Err(e) = lab.sync_journal() {
             let msg = e.to_string();
             cmp_obs::warn!("journal sync failed after sharded batch", error = msg);
         }
 
-        let engine = self.engine_for(shard, cfg);
         Some(
             group
                 .iter()
@@ -560,11 +496,8 @@ impl Service {
                     if let Some(e) = failed.get(&pair) {
                         BatchSlot::Failed(e.clone())
                     } else if let Some(cause) = quarantined.get(&pair) {
-                        // Serve-level retry applies: the next attempt
-                        // re-forms the group (usually small enough to
-                        // fall back in-process).
                         BatchSlot::Quarantined(JobError::Panicked(cause.clone()))
-                    } else if let Some(r) = engine.peek(pair) {
+                    } else if let Some(r) = lab.peek(pair) {
                         BatchSlot::Done {
                             result: Box::new(r.clone()),
                             millis: fresh_ms.remove(&pair),
@@ -602,19 +535,12 @@ impl Service {
                     responses.push(job_error_response(&q.spec, &e));
                 }
                 BatchSlot::Quarantined(je) => {
-                    // Deadline fence #2: the pool cancelled it and the
-                    // request's own budget is gone — fenced, final.
-                    if q.deadline_at.is_some_and(|t| t <= Instant::now()) {
+                    // Deadline fence #2: the pool cancelled it at the
+                    // group's request deadline, or the request's own
+                    // budget is gone — fenced, final.
+                    let expired = q.deadline_at.is_some_and(|t| t <= Instant::now());
+                    if expired || matches!(je, JobError::TimedOut) {
                         responses.push(self.deadline_response(&q));
-                    } else if q.attempts < self.opts.max_retries {
-                        let backoff = self.opts.backoff * 2u32.saturating_pow(q.attempts);
-                        self.stats.retried += 1;
-                        RETRIED.inc();
-                        self.queue.push_back(Queued {
-                            attempts: q.attempts + 1,
-                            not_before: Some(Instant::now() + backoff),
-                            ..q
-                        });
                     } else {
                         self.stats.failed += 1;
                         FAILED.inc();
@@ -622,7 +548,10 @@ impl Service {
                             pair: format!("{}/{}", q.spec.pair.0.name(), q.spec.pair.1.name()),
                             cause: je.to_string(),
                         };
-                        responses.push(job_error_response(&q.spec, &e));
+                        let mut resp = job_error_response(&q.spec, &e);
+                        let replay = request_line(0, q.spec.pair, &q.spec.cfg);
+                        resp.set("replay", Json::Str(replay));
+                        responses.push(resp);
                     }
                 }
             }
@@ -630,32 +559,32 @@ impl Service {
         responses
     }
 
-    fn engine_for(&mut self, shard: ShardKey, cfg: RunConfig) -> &mut Engine {
+    fn lab_for(&mut self, shard: ShardKey, cfg: RunConfig) -> &mut Lab {
         // Lookup-or-insert without an `unwrap()` on the freshly
         // pushed element: resolve the index first, then reborrow, so
         // the borrow checker and the panic-free surface are both
         // satisfied.
-        let i = match self.engines.iter().position(|(k, _)| *k == shard) {
+        let i = match self.labs.iter().position(|(k, _)| *k == shard) {
             Some(i) => i,
             None => {
-                let engine = self.build_engine(cfg);
-                self.engines.push((shard, engine));
-                self.engines.len() - 1
+                let lab = self.build_lab(cfg);
+                self.labs.push((shard, lab));
+                self.labs.len() - 1
             }
         };
-        &mut self.engines[i].1
+        &mut self.labs[i].1
     }
 
-    /// Builds a shard's engine, degrading gracefully when its journal
+    /// Builds a shard's lab, degrading gracefully when its journal
     /// cannot be opened: a broken journal costs durability, never
     /// availability.
-    fn build_engine(&self, cfg: RunConfig) -> Engine {
+    fn build_lab(&self, cfg: RunConfig) -> Lab {
         let threads = self.opts.threads;
-        let mut engine = match &self.opts.journal_base {
+        let mut lab = match &self.opts.journal_base {
             Some(base) => {
                 let path = shard_journal_path(base, &cfg);
-                match Engine::with_journal(cfg, threads, &path) {
-                    Ok(e) => e,
+                match Lab::with_journal(cfg, threads, &path) {
+                    Ok(lab) => lab,
                     Err(err) => {
                         let msg = err.to_string();
                         let shown = path.display().to_string();
@@ -664,15 +593,14 @@ impl Service {
                             path = shown,
                             error = msg
                         );
-                        Engine::with_threads(cfg, threads)
+                        Lab::with_threads(cfg, threads)
                     }
                 }
             }
-            None => Engine::with_threads(cfg, threads),
+            None => Lab::with_threads(cfg, threads),
         };
-        engine.set_journal_fsync_every(self.opts.fsync_every);
-        engine.set_resilience(self.opts.resilience.clone());
-        engine
+        lab.set_journal_fsync_every(self.opts.fsync_every);
+        lab
     }
 
     /// Graceful drain: refuses new work, sheds everything still
@@ -691,8 +619,8 @@ impl Service {
             DRAINED.inc();
         }
         let mut synced = true;
-        for (_, engine) in &mut self.engines {
-            if let Err(e) = engine.sync_journal() {
+        for (_, lab) in &mut self.labs {
+            if let Err(e) = lab.sync_journal() {
                 synced = false;
                 let msg = e.to_string();
                 cmp_obs::warn!("journal sync failed during drain", error = msg);
@@ -730,7 +658,6 @@ impl Service {
         counters.set("deadline-expired", Json::Num(s.deadline_expired as f64));
         counters.set("drained", Json::Num(s.drained as f64));
         counters.set("completed", Json::Num(s.completed as f64));
-        counters.set("retried", Json::Num(s.retried as f64));
         counters.set("failed", Json::Num(s.failed as f64));
         counters.set("invalid", Json::Num(s.invalid as f64));
         resp.set("counters", counters);
@@ -809,7 +736,6 @@ mod tests {
         let mut o = ServeOptions::new(cfg);
         o.threads = 2;
         o.queue_capacity = 4;
-        o.backoff = Duration::from_millis(1);
         o
     }
 
@@ -883,7 +809,7 @@ mod tests {
         let responses = svc.process_ready();
         assert_eq!(types(&responses), ["error"]);
         assert_eq!(responses[0].get("kind").and_then(|k| k.as_str()), Some("deadline-expired"));
-        assert_eq!(svc.simulations(), 0, "expired work never reaches the engine");
+        assert_eq!(svc.simulations(), 0, "expired work never reaches the lab");
         assert_eq!(svc.stats().deadline_expired, 1);
     }
 
@@ -933,8 +859,7 @@ mod tests {
         assert_eq!(svc.stats().invalid, 1);
     }
 
-    /// Satellite: the graceful-degradation branch of
-    /// [`Service::build_engine`]. An unwritable journal base must
+    /// The graceful-degradation branch of [`Service::build_lab`]. An unwritable journal base must
     /// warn, keep serving without checkpointing, and answer with
     /// byte-identical results.
     #[test]
@@ -973,6 +898,36 @@ mod tests {
     }
 
     #[test]
+    fn quarantined_job_is_answered_once_with_a_replay_line() {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !info.to_string().contains("injected worker panic") {
+                prev(info);
+            }
+        }));
+        let mut opts = tiny_opts();
+        opts.chaos = Some(ChaosSchedule::new(vec![cmp_audit::ChaosSpec {
+            job: 0,
+            event: cmp_audit::ChaosEvent::WorkerPanic,
+        }]));
+        let mut svc = Service::new(opts);
+        let line = r#"{"type":"run","id":"p","workload":"barnes","org":"shared"}"#;
+        svc.handle_line(line);
+        let capture = cmp_obs::Capture::install();
+        let responses = svc.process_ready();
+        assert!(capture.contains("sweep job quarantined"), "{:?}", capture.lines());
+        drop(capture);
+        assert_eq!(types(&responses), ["error"], "answered at once, not retried");
+        assert_eq!(responses[0].get("kind").and_then(|k| k.as_str()), Some("failed"));
+        let replay = responses[0].get("replay").and_then(|r| r.as_str()).expect("replay line");
+        assert_eq!(svc.pending(), 0);
+        assert_eq!(svc.stats().failed, 1);
+        // The chaos was one-shot: replaying the line now succeeds.
+        svc.handle_line(replay);
+        assert_eq!(types(&svc.process_ready()), ["result"]);
+    }
+
+    #[test]
     fn worker_binary_resolution_never_panics() {
         // An explicit path that does not exist resolves to None.
         assert_eq!(worker_binary(Some(Path::new("/nonexistent/worker"))), None);
@@ -998,15 +953,15 @@ mod tests {
     fn bad_serve_env_warns_and_keeps_default() {
         let cfg = RunConfig::sized(200, 400, 7);
         std::env::set_var(env::QUEUE, "many");
-        std::env::set_var(env::BACKOFF_MS, "-3");
+        std::env::set_var(env::FSYNC_EVERY, "-3");
         let capture = cmp_obs::Capture::install();
         let opts = ServeOptions::from_env(cfg);
         std::env::remove_var(env::QUEUE);
-        std::env::remove_var(env::BACKOFF_MS);
+        std::env::remove_var(env::FSYNC_EVERY);
         assert_eq!(opts.queue_capacity, 64, "default survives the bad value");
-        assert_eq!(opts.backoff, Duration::from_millis(50));
+        assert_eq!(opts.fsync_every, 8);
         assert!(capture.contains("CMP_SERVE_QUEUE"), "warn names the variable");
         assert!(capture.contains("many"), "warn names the offending value");
-        assert!(capture.contains("CMP_SERVE_BACKOFF_MS"));
+        assert!(capture.contains("CMP_SERVE_FSYNC_EVERY"));
     }
 }

@@ -3,7 +3,6 @@
 //! resume after a mid-run kill.
 
 use std::collections::HashMap;
-use std::time::Duration;
 
 use cmp_bench::journal::run_result_to_json;
 use cmp_bench::{Json, Lab, ResultSource, WorkloadId};
@@ -18,7 +17,6 @@ fn opts(queue: usize) -> ServeOptions {
     let mut o = ServeOptions::new(tiny_cfg());
     o.queue_capacity = queue;
     o.threads = 2;
-    o.backoff = Duration::from_millis(1);
     o
 }
 
@@ -34,17 +32,6 @@ fn flood_lines() -> Vec<String> {
         }
     }
     lines
-}
-
-fn drive_to_completion(svc: &mut Service) -> Vec<Json> {
-    let mut responses = Vec::new();
-    loop {
-        responses.extend(svc.process_ready());
-        match svc.next_ready_in() {
-            None => break responses,
-            Some(d) => std::thread::sleep(d.max(Duration::from_millis(1))),
-        }
-    }
 }
 
 #[test]
@@ -77,7 +64,7 @@ fn flood_bounds_the_queue_sheds_explicitly_and_loses_nothing() {
     assert_eq!(svc.stats().shed as usize, shed_ids.len());
 
     // Every admitted job is answered with a result — zero lost.
-    let responses = drive_to_completion(&mut svc);
+    let responses = svc.process_ready();
     assert_eq!(responses.len(), CAPACITY, "one response per admitted job");
     assert!(responses.iter().all(|r| r.get("type").and_then(|t| t.as_str()) == Some("result")));
 
@@ -101,7 +88,7 @@ fn repeated_floods_coalesce_through_the_memo_cache() {
     for line in flood_lines() {
         assert!(svc.handle_line(&line).is_empty());
     }
-    let first = drive_to_completion(&mut svc);
+    let first = svc.process_ready();
     let sims_after_first = svc.simulations();
     assert_eq!(sims_after_first, first.len(), "first flood simulates every distinct pair");
 
@@ -109,7 +96,7 @@ fn repeated_floods_coalesce_through_the_memo_cache() {
     for line in flood_lines() {
         assert!(svc.handle_line(&line).is_empty());
     }
-    let second = drive_to_completion(&mut svc);
+    let second = svc.process_ready();
     assert_eq!(second.len(), first.len());
     assert_eq!(svc.simulations(), sims_after_first, "second flood is fully coalesced");
     assert!(second.iter().all(|r| r.get("cached") == Some(&Json::Bool(true))));
@@ -134,7 +121,7 @@ fn kill_and_restart_resumes_from_the_journal_and_serves_from_cache() {
         for line in &lines {
             assert!(svc.handle_line(line).is_empty());
         }
-        for resp in drive_to_completion(&mut svc) {
+        for resp in svc.process_ready() {
             assert_eq!(resp.get("type").and_then(|t| t.as_str()), Some("result"));
             let id = resp.get("id").unwrap().compact();
             expected.insert(id, resp.get("result").unwrap().compact());
@@ -157,7 +144,7 @@ fn kill_and_restart_resumes_from_the_journal_and_serves_from_cache() {
     for line in &lines {
         assert!(svc.handle_line(line).is_empty());
     }
-    let responses = drive_to_completion(&mut svc);
+    let responses = svc.process_ready();
     assert_eq!(responses.len(), lines.len());
     let restored = svc.restored();
     assert!(restored > 0, "journal resume restored the intact prefix");
@@ -183,7 +170,7 @@ fn mixes_and_multithreaded_share_one_service() {
     svc.handle_line(
         r#"{"type":"sweep","id":"s","workloads":["MIX1","barnes"],"orgs":["shared","nurapid"]}"#,
     );
-    let responses = drive_to_completion(&mut svc);
+    let responses = svc.process_ready();
     assert_eq!(responses.len(), 4);
     let mut lab = Lab::new(tiny_cfg());
     for resp in &responses {

@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use cmp_bench::journal::run_result_to_json;
 use cmp_bench::shard::{run_sharded, KillSchedule, MultiShardReport, ShardOptions, ShardSlot};
-use cmp_bench::{Pair, ParallelLab, WorkloadId};
+use cmp_bench::{Lab, Pair, ScenarioSpec, WorkloadId};
 use cmp_serve::{ServeOptions, Service};
 use cmp_sim::{OrgKind, RunConfig};
 
@@ -39,7 +39,7 @@ fn scratch(name: &str) -> PathBuf {
 }
 
 /// Byte-compares every completed slot against a single-process lab.
-fn assert_byte_identical(pairs: &[Pair], report: &MultiShardReport, reference: &mut ParallelLab) {
+fn assert_byte_identical(pairs: &[Pair], report: &MultiShardReport, reference: &mut Lab) {
     reference.run_batch(pairs);
     for (i, (pair, slot)) in pairs.iter().zip(&report.slots).enumerate() {
         let ShardSlot::Done { result, .. } = slot else {
@@ -57,7 +57,7 @@ fn fault_free_sharded_sweep_is_byte_identical_to_single_process() {
     let report = run_sharded(worker(), &pairs, &tiny_cfg(), &ShardOptions::new(2));
     assert!(report.is_clean(), "no restarts expected: {}", report.summary());
     assert_eq!(report.completed(), pairs.len());
-    assert_byte_identical(&pairs, &report, &mut ParallelLab::new(tiny_cfg()));
+    assert_byte_identical(&pairs, &report, &mut Lab::new(tiny_cfg()));
     // Partitioning is deterministic: pair i went to shard i % 2.
     for (shard, stats) in report.shards.iter().enumerate() {
         assert_eq!(stats.shard, shard);
@@ -90,7 +90,7 @@ fn killed_worker_resumes_from_journal_and_converges() {
     assert!(s0.exit_signals >= 1, "the SIGKILL exit was recorded");
     assert_eq!(s0.lives, 2, "one restart");
     assert!(s0.resumed >= 1, "life 2 resumed journaled pairs instead of re-simulating");
-    assert_byte_identical(&pairs, &report, &mut ParallelLab::new(tiny_cfg()));
+    assert_byte_identical(&pairs, &report, &mut Lab::new(tiny_cfg()));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -117,7 +117,7 @@ fn exhausted_restart_budget_quarantines_only_that_shard() {
         }
     }
     // The surviving shards' results are still correct.
-    let mut reference = ParallelLab::new(tiny_cfg());
+    let mut reference = Lab::new(tiny_cfg());
     reference.run_batch(&pairs);
     for (pair, slot) in pairs.iter().zip(&report.slots) {
         if let ShardSlot::Done { result, .. } = slot {
@@ -125,6 +125,22 @@ fn exhausted_restart_budget_quarantines_only_that_shard() {
             assert_eq!(run_result_to_json(result).compact(), want);
         }
     }
+}
+
+/// Spec pairs travel as whole scenarios: two distinct specs — one
+/// named like a catalog workload — match the in-process lab.
+#[test]
+fn sharded_spec_pairs_match_the_in_process_lab() {
+    let spec = |text: &str| {
+        WorkloadId::Spec(cmp_bench::spec::intern(&ScenarioSpec::parse_str(text).unwrap()))
+    };
+    let pairs = vec![
+        (spec(r#"{"name":"oltp","cores":16}"#), OrgKind::Shared),
+        (spec(r#"{"name":"web8","cores":8,"base":"apache"}"#), OrgKind::Nurapid),
+    ];
+    let report = run_sharded(worker(), &pairs, &tiny_cfg(), &ShardOptions::new(2));
+    assert!(report.is_clean(), "{}", report.summary());
+    assert_byte_identical(&pairs, &report, &mut Lab::new(tiny_cfg()));
 }
 
 #[test]
@@ -142,7 +158,7 @@ fn watchdog_kills_a_hung_worker_and_the_restart_finishes_the_partition() {
     let s0 = &report.shards[0];
     assert!(s0.watchdog_kills >= 1, "the watchdog fired: {s0:?}");
     assert_eq!(s0.lives, 2, "one restart after the hang");
-    assert_byte_identical(&pairs, &report, &mut ParallelLab::new(tiny_cfg()));
+    assert_byte_identical(&pairs, &report, &mut Lab::new(tiny_cfg()));
 }
 
 #[test]
