@@ -158,6 +158,55 @@ pub struct PairTiming {
     pub millis: f64,
 }
 
+/// A batch planned by [`Lab::plan`]: its submissions, the results the
+/// memo cache already held for them, and the deduplicated misses with
+/// the lab's worker count and resilience policy. It holds no borrow
+/// of the lab.
+#[derive(Debug)]
+pub struct BatchPlan {
+    pairs: Vec<Pair>,
+    hits: HashMap<Pair, RunResult>,
+    misses: Vec<Pair>,
+    cfg: RunConfig,
+    threads: usize,
+    resilience: Resilience,
+}
+
+impl BatchPlan {
+    /// The distinct pairs the cache could not answer, in submission
+    /// order.
+    pub fn misses(&self) -> &[Pair] {
+        &self.misses
+    }
+
+    /// The run configuration the misses simulate under.
+    pub fn config(&self) -> &RunConfig {
+        &self.cfg
+    }
+
+    /// Simulates the misses across the plan's supervised worker pool.
+    pub fn run(self) -> RanBatch {
+        let (slots, report) =
+            sweep::run_pairs(&self.misses, &self.cfg, self.threads, &self.resilience);
+        RanBatch { plan: self, slots, report }
+    }
+
+    /// Completes the plan with outcomes computed elsewhere (the
+    /// OS-process shard path), one slot per miss in miss order.
+    pub(crate) fn ran(self, slots: Vec<BatchSlot>, report: SweepReport) -> RanBatch {
+        debug_assert_eq!(slots.len(), self.misses.len());
+        RanBatch { plan: self, slots, report }
+    }
+}
+
+/// A [`BatchPlan`] whose misses have run, ready for [`Lab::commit`].
+#[derive(Debug)]
+pub struct RanBatch {
+    plan: BatchPlan,
+    slots: Vec<BatchSlot>,
+    report: SweepReport,
+}
+
 /// Runs (workload, organization) pairs and memoizes the results, so
 /// the figures that share runs (5, 6, 7, 8, 9, 10 all reuse the
 /// shared/private baselines) simulate each pair once.
@@ -314,11 +363,11 @@ impl Lab {
         self.cache.insert(pair, result);
     }
 
-    /// Adopts a result computed outside this lab — the OS-process
-    /// shard path ([`crate::shard`]) — into the memo cache, with the
-    /// same journaling as a locally simulated pair. Counts as a
-    /// simulation (work was performed on this lab's behalf); a pair
-    /// already cached is left untouched.
+    /// Adopts a result computed for this lab — by a batch's worker
+    /// pool, or by a shard process ([`crate::shard`]) — into the memo
+    /// cache, journaling it. Counts as a simulation (work was
+    /// performed on this lab's behalf); a pair already cached is left
+    /// untouched.
     pub fn adopt(&mut self, pair: Pair, result: RunResult) {
         if !self.contains(pair.0, pair.1) {
             self.insert(pair, result);
@@ -333,33 +382,68 @@ impl Lab {
     /// hits, and journal-restored pairs are simulated zero times but
     /// still answered.
     ///
+    /// It is exactly [`Lab::plan`] → [`BatchPlan::run`] →
+    /// [`Lab::commit`]; the serving layer calls the three phases
+    /// itself so the simulation runs without its lock held.
+    ///
     /// A worker panic or deadline overrun quarantines its pair on the
     /// first attempt: it comes back as [`BatchSlot::Quarantined`] and
     /// in [`Lab::last_report`] — the batch itself always completes.
     pub fn run_batch(&mut self, pairs: &[Pair]) -> Vec<BatchSlot> {
         let _span = cmp_obs::span!("bench.prefetch");
-        // Deduplicate in submission order, dropping cache hits.
+        let ran = self.plan(pairs).run();
+        self.commit(ran)
+    }
+
+    /// Plans a batch against the memo cache: cache hits are answered
+    /// from clones taken now, and the misses are deduplicated in
+    /// submission order. The plan borrows nothing from the lab, so it
+    /// can run on any thread while the lab serves other callers.
+    pub fn plan(&self, pairs: &[Pair]) -> BatchPlan {
+        let mut hits = HashMap::new();
         let mut seen = HashSet::new();
-        let misses: Vec<Pair> =
-            pairs.iter().copied().filter(|p| !self.contains(p.0, p.1) && seen.insert(*p)).collect();
-        let (slots, report) = sweep::run_pairs(&misses, &self.cfg, self.threads, &self.resilience);
-        self.last_report = report;
-        // Merge fresh results into the cache in submission order,
-        // noting deterministic failures and which miss carried each
-        // pair's wall-clock.
-        let mut failed: HashMap<Pair, SimError> = HashMap::new();
-        let mut fresh_ms: HashMap<Pair, f64> = HashMap::new();
-        for (pair, slot) in misses.into_iter().zip(slots) {
-            match slot {
-                Some((Ok(r), millis)) => {
-                    self.insert(pair, r);
-                    fresh_ms.insert(pair, millis);
+        let mut misses = Vec::new();
+        for &pair in pairs {
+            match self.cache.get(&pair) {
+                Some(r) => {
+                    hits.entry(pair).or_insert_with(|| r.clone());
                 }
-                Some((Err(e), _)) => {
-                    failed.insert(pair, e);
-                }
-                // Quarantined: details live in `last_report`.
+                None if seen.insert(pair) => misses.push(pair),
                 None => {}
+            }
+        }
+        BatchPlan {
+            pairs: pairs.to_vec(),
+            hits,
+            misses,
+            cfg: self.cfg,
+            threads: self.threads,
+            resilience: self.resilience.clone(),
+        }
+    }
+
+    /// Merges a run batch into the memo cache (and the journal) in
+    /// miss order and answers every submission of its plan. A miss
+    /// that another batch committed meanwhile is left as cached (the
+    /// results are bit-identical; the journal keeps one record).
+    pub fn commit(&mut self, ran: RanBatch) -> Vec<BatchSlot> {
+        let RanBatch { plan, slots, report } = ran;
+        self.last_report = report;
+        // Merge fresh results into the cache in miss order, noting
+        // failures and which miss carried each pair's wall-clock.
+        let mut failed: HashMap<Pair, BatchSlot> = HashMap::new();
+        let mut fresh_ms: HashMap<Pair, f64> = HashMap::new();
+        for (pair, slot) in plan.misses.into_iter().zip(slots) {
+            match slot {
+                BatchSlot::Done { result, millis } => {
+                    self.adopt(pair, *result);
+                    if let Some(ms) = millis {
+                        fresh_ms.insert(pair, ms);
+                    }
+                }
+                slot => {
+                    failed.insert(pair, slot);
+                }
             }
         }
         // Batch barrier: group-committed records become durable when
@@ -372,24 +456,23 @@ impl Lab {
                 self.journal = None;
             }
         }
-        let quarantined: HashMap<Pair, JobError> =
-            self.last_report.quarantined.iter().map(|q| (q.pair, q.error.clone())).collect();
-        pairs
+        plan.pairs
             .iter()
-            .map(|&pair| {
-                if let Some(e) = failed.get(&pair) {
-                    BatchSlot::Failed(e.clone())
-                } else if let Some(e) = quarantined.get(&pair) {
-                    BatchSlot::Quarantined(e.clone())
-                } else if let Some(r) = self.peek(pair) {
+            .map(|pair| {
+                if let Some(slot) = failed.get(pair) {
+                    return slot.clone();
+                }
+                match plan.hits.get(pair).or_else(|| self.cache.get(pair)) {
                     // The first submission of a fresh pair takes the
                     // timing; duplicates and cache hits report None.
-                    BatchSlot::Done { result: Box::new(r.clone()), millis: fresh_ms.remove(&pair) }
-                } else {
+                    Some(r) => BatchSlot::Done {
+                        result: Box::new(r.clone()),
+                        millis: fresh_ms.remove(pair),
+                    },
                     // Unreachable (every miss is cached, failed, or
                     // quarantined); a defensive answer beats a panic
                     // in a serving path.
-                    BatchSlot::Quarantined(JobError::Cancelled)
+                    None => BatchSlot::Quarantined(JobError::Cancelled),
                 }
             })
             .collect()

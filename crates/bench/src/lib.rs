@@ -36,7 +36,7 @@ pub mod table;
 
 pub use journal::{Journal, FSYNC_EVERY_ENV, JOURNAL_ENV};
 pub use json::Json;
-pub use lab::{BatchSlot, Lab, Pair, PairTiming, ResultSource, WorkloadId};
+pub use lab::{BatchPlan, BatchSlot, Lab, Pair, PairTiming, RanBatch, ResultSource, WorkloadId};
 pub use obs_report::OBS_REPORT_PATH;
 pub use pool::{CancelToken, JobError};
 pub use scaling::{run_scaling, ScalingReport, ScalingRow};

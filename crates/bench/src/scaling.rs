@@ -151,12 +151,18 @@ impl ScalingReport {
     /// `(workers, floor, measured)`; empty means every enforced floor
     /// held.
     pub fn floors_met(&self) -> Vec<(usize, f64, f64)> {
+        self.floors_met_with(floor_from_env)
+    }
+
+    /// [`ScalingReport::floors_met`] with the floor at each worker
+    /// count looked up through `floor` instead of the environment.
+    pub fn floors_met_with(&self, floor: impl Fn(usize) -> Option<f64>) -> Vec<(usize, f64, f64)> {
         let mut violations = Vec::new();
         for row in &self.rows {
             if row.workers > self.workers_available {
                 continue;
             }
-            if let Some(floor) = floor_from_env(row.workers) {
+            if let Some(floor) = floor(row.workers) {
                 if row.speedup < floor {
                     violations.push((row.workers, floor, row.speedup));
                 }
@@ -321,13 +327,16 @@ mod tests {
         // beyond the pretend 2-core machine, so its (awful) speedup
         // is skipped rather than flaking.
         let r = report(&[(2, 100.0), (8, 200.0)], 100.0, 2);
-        let violations = r.floors_met();
+        let violations = r.floors_met_with(default_floor);
         assert_eq!(violations.len(), 1);
         assert_eq!(violations[0].0, 2);
         assert_eq!(violations[0].1, 1.7);
         // On a pretend 16-core machine both floors are enforced.
         let r = report(&[(2, 30.0), (8, 12.0)], 100.0, 16);
-        assert!(r.floors_met().is_empty(), "3.33x at 2 and 8.3x at 8 clear the floors");
+        assert!(
+            r.floors_met_with(default_floor).is_empty(),
+            "3.33x at 2 and 8.3x at 8 clear the floors"
+        );
     }
 
     #[test]

@@ -52,7 +52,9 @@ use cmp_sim::{RunConfig, RunResult, SimError, StopRule};
 
 use crate::journal::{run_result_from_json, run_result_to_json};
 use crate::json::Json;
-use crate::lab::{Pair, WorkloadId};
+use crate::lab::{BatchPlan, BatchSlot, Pair, RanBatch, WorkloadId};
+use crate::pool::JobError;
+use crate::sweep::{Quarantined, SweepReport};
 
 /// `shard.*` metrics taxonomy (inert unless `CMP_OBS=1`), folded once
 /// per [`run_sharded`] call from the per-shard stats.
@@ -222,6 +224,36 @@ pub struct ShardStats {
     pub exit_nonzero: u32,
     /// Whether the shard exhausted its lives and was quarantined.
     pub quarantined: bool,
+}
+
+impl BatchPlan {
+    /// Runs the plan's misses across `cmp-shard-worker` processes
+    /// ([`run_sharded`]) instead of the in-process pool. A pair whose
+    /// shard is quarantined comes back as [`BatchSlot::Quarantined`]
+    /// and in the batch's report, with its replay line; the merge is
+    /// [`crate::lab::Lab::commit`], same as an in-process batch.
+    pub fn run_sharded(self, worker: &Path, opts: &ShardOptions) -> RanBatch {
+        let cfg = *self.config();
+        let outcome = run_sharded(worker, self.misses(), &cfg, opts);
+        let mut report = SweepReport::default();
+        let slots = outcome
+            .pairs
+            .iter()
+            .zip(outcome.slots)
+            .enumerate()
+            .map(|(index, (&pair, slot))| match slot {
+                ShardSlot::Done { result, millis } => BatchSlot::Done { result, millis },
+                ShardSlot::Failed(e) => BatchSlot::Failed(e),
+                ShardSlot::Quarantined { shard, cause } => {
+                    let error = JobError::Panicked(format!("shard {shard} {cause}"));
+                    let replay = request_line(index, pair, &cfg);
+                    report.quarantined.push(Quarantined { pair, error: error.clone(), replay });
+                    BatchSlot::Quarantined(error)
+                }
+            })
+            .collect();
+        self.ran(slots, report)
+    }
 }
 
 /// Per-pair outcome of a sharded sweep, aligned with the submitted

@@ -22,9 +22,9 @@
 use std::time::{Duration, Instant};
 
 use cmp_audit::{ChaosEvent, ChaosSchedule};
-use cmp_sim::{RunConfig, RunResult, SimError};
+use cmp_sim::{RunConfig, SimError};
 
-use crate::lab::{simulate_pair, Pair};
+use crate::lab::{simulate_pair, BatchSlot, Pair};
 use crate::pool::{self, CancelToken, JobError};
 
 /// Deadline/chaos policy for a sweep.
@@ -97,20 +97,16 @@ impl SweepReport {
     }
 }
 
-/// Per-job outcome slot: `None` means quarantined (details in the
-/// report), otherwise the simulation result plus its wall-clock
-/// milliseconds.
-pub(crate) type PairOutcome = Option<(Result<RunResult, SimError>, f64)>;
-
 /// Runs every miss once through the supervised pool. Slots come back
-/// aligned with `misses` (submission order); a failed job is
-/// quarantined and the batch is never aborted.
+/// aligned with `misses` (submission order), a fresh result carrying
+/// its worker wall-clock milliseconds; a failed job is quarantined
+/// (also named in the report) and the batch is never aborted.
 pub(crate) fn run_pairs(
     misses: &[Pair],
     cfg: &RunConfig,
     threads: usize,
     resilience: &Resilience,
-) -> (Vec<PairOutcome>, SweepReport) {
+) -> (Vec<BatchSlot>, SweepReport) {
     let jobs: Vec<_> = misses
         .iter()
         .enumerate()
@@ -132,7 +128,10 @@ pub(crate) fn run_pairs(
     let mut slots = Vec::with_capacity(misses.len());
     for (index, job_result) in outcome.results.into_iter().enumerate() {
         match job_result {
-            Ok(value) => slots.push(Some(value)),
+            Ok((Ok(result), millis)) => {
+                slots.push(BatchSlot::Done { result: Box::new(result), millis: Some(millis) })
+            }
+            Ok((Err(e), _)) => slots.push(BatchSlot::Failed(e)),
             Err(error) => {
                 match error {
                     JobError::Panicked(_) => report.panicked += 1,
@@ -141,8 +140,8 @@ pub(crate) fn run_pairs(
                 }
                 let pair = misses[index];
                 let replay = crate::shard::request_line(index, pair, cfg);
+                slots.push(BatchSlot::Quarantined(error.clone()));
                 report.quarantined.push(Quarantined { pair, error, replay });
-                slots.push(None);
             }
         }
     }
@@ -215,7 +214,7 @@ mod tests {
     fn fault_free_sweep_is_clean_and_complete() {
         let (slots, report) = run_pairs(&misses(), &tiny_cfg(), 2, &Resilience::default());
         assert!(report.is_clean(), "{}", report.summary());
-        assert!(slots.iter().all(|s| matches!(s, Some((Ok(_), _)))));
+        assert!(slots.iter().all(|s| matches!(s, BatchSlot::Done { millis: Some(_), .. })));
     }
 
     #[test]
@@ -224,7 +223,7 @@ mod tests {
         let (slots, report) = run_pairs(&batch, &tiny_cfg(), 2, &Resilience::default());
         assert!(report.is_clean(), "a SimError is an answer, not a fault");
         match &slots[0] {
-            Some((Err(SimError::UnknownWorkload(name)), _)) => assert_eq!(name, "tpch"),
+            BatchSlot::Failed(SimError::UnknownWorkload(name)) => assert_eq!(name, "tpch"),
             other => panic!("unexpected slot {other:?}"),
         }
     }
@@ -242,9 +241,12 @@ mod tests {
         let batch = misses();
         let capture = cmp_obs::Capture::install();
         let (slots, report) = run_pairs(&batch, &tiny_cfg(), 2, &resilience);
-        assert!(matches!(slots[0], Some((Ok(_), _))));
-        assert!(slots[1].is_none(), "job 1 must be quarantined");
-        assert!(matches!(slots[2], Some((Ok(_), _))));
+        assert!(matches!(slots[0], BatchSlot::Done { .. }));
+        assert!(
+            matches!(slots[1], BatchSlot::Quarantined(JobError::Panicked(_))),
+            "job 1 must be quarantined"
+        );
+        assert!(matches!(slots[2], BatchSlot::Done { .. }));
         assert_eq!(report.panicked, 1, "one attempt, no retry");
         assert_eq!(report.quarantined.len(), 1);
         let q = &report.quarantined[0];

@@ -11,11 +11,11 @@
 //!
 //! `--tcp ADDR` additionally serves the same protocol on a TCP
 //! socket (one connection per client, requests answered in order on
-//! that connection); stdin stays the control plane, and EOF on stdin
-//! still drains the service. The accept loop is bounded
-//! (`CMP_SERVE_MAX_CONNS`, over-limit clients shed with a structured
-//! response) and idle connections time out (`CMP_SERVE_IDLE_MS`) —
-//! see `cmp_serve::conn`.
+//! that connection, connections simulating concurrently); stdin stays
+//! the control plane, and EOF on stdin still drains the service. The
+//! accept loop is bounded (`CMP_SERVE_MAX_CONNS`, over-limit clients
+//! shed with a structured response) and idle connections time out
+//! (`CMP_SERVE_IDLE_MS`) — see `cmp_serve::conn`.
 //!
 //! Run sizing for requests that do not override it comes from the
 //! positional argument (`quick` — the default here, unlike the batch
@@ -25,20 +25,20 @@
 //!
 //! Shutdown semantics (no signal handling without a libc
 //! dependency): EOF on stdin or a `{"type":"drain"}` request starts
-//! a graceful drain — admitted jobs finish, queued-but-refused work
-//! is shed with structured
-//! responses, journal shards are fsynced, and a `drained` summary is
-//! the final line. With `CMP_OBS=1`, a `BENCH_serve.json` report
-//! (serve counters plus latency percentiles from the obs
-//! histograms) is written on exit.
+//! a graceful drain — admitted jobs finish (on every front door),
+//! queued-but-refused work is shed with structured responses, journal
+//! shards are fsynced, and a `drained` summary is the final line.
+//! With `CMP_OBS=1`, a `BENCH_serve.json` report (serve counters plus
+//! latency percentiles from the obs histograms) is written on exit.
 
-use std::io::{BufRead, Write};
+use std::io::BufRead;
 use std::net::TcpListener;
 use std::sync::mpsc::{self, TryRecvError};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use cmp_bench::Json;
-use cmp_serve::{conn, ConnOptions, ServeOptions, Service};
+use cmp_serve::conn::{self, emit};
+use cmp_serve::{ConnOptions, ServeOptions, Service, SharedService};
 use cmp_sim::RunConfig;
 
 const REPORT_PATH: &str = "BENCH_serve.json";
@@ -72,7 +72,7 @@ fn main() {
     };
 
     let opts = ServeOptions::from_env(cfg);
-    let service = Arc::new(Mutex::new(Service::new(opts)));
+    let service = Arc::new(SharedService::new(Service::new(opts)));
 
     if let Some(addr) = &tcp {
         match TcpListener::bind(addr) {
@@ -90,7 +90,7 @@ fn main() {
     }
 
     let code = serve_stdin(&service);
-    let svc = service.lock().unwrap_or_else(|p| p.into_inner());
+    let svc = service.lock();
     if let Err(e) = write_bench_report(&svc) {
         eprintln!("cmp-serve: {e}");
         std::process::exit(2);
@@ -98,21 +98,10 @@ fn main() {
     std::process::exit(code);
 }
 
-/// Emits responses; returns false when stdout is gone (client hung
-/// up — treated as a drain request, not an error loop).
-fn emit(out: &mut impl Write, responses: &[Json]) -> bool {
-    for r in responses {
-        if writeln!(out, "{}", r.compact()).is_err() {
-            return false;
-        }
-    }
-    out.flush().is_ok()
-}
-
-/// The stdin/stdout serving loop: ingest greedily (coalescing
-/// pipelined duplicates into one batch), process the queue, then block
-/// for the next request.
-fn serve_stdin(service: &Arc<Mutex<Service>>) -> i32 {
+/// The stdin/stdout serving loop: block for a request, ingest every
+/// line already buffered behind it (so pipelined duplicates land in
+/// one batch and coalesce), answer the round, repeat. EOF drains.
+fn serve_stdin(service: &SharedService) -> i32 {
     let (tx, rx) = mpsc::channel::<String>();
     std::thread::spawn(move || {
         for line in std::io::stdin().lock().lines() {
@@ -127,52 +116,34 @@ fn serve_stdin(service: &Arc<Mutex<Service>>) -> i32 {
         }
     });
 
+    let caller = service.caller();
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
     let mut eof = false;
-    loop {
-        let mut svc = service.lock().unwrap_or_else(|p| p.into_inner());
-        // Ingest everything already buffered, so pipelined requests
-        // land in one batch and coalesce.
-        while !eof {
+    while let Ok(first) = rx.recv() {
+        let mut lines = vec![first];
+        loop {
             match rx.try_recv() {
-                Ok(line) => {
-                    let responses = svc.handle_line(&line);
-                    if !emit(&mut out, &responses) {
-                        return 0;
-                    }
-                }
+                Ok(line) => lines.push(line),
                 Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => eof = true,
-            }
-        }
-        let responses = svc.process_ready();
-        if !emit(&mut out, &responses) {
-            return 0;
-        }
-        if svc.is_draining() {
-            return 0;
-        }
-        // Idle at EOF with nothing queued: graceful drain.
-        if eof {
-            let responses = svc.drain();
-            emit(&mut out, &responses);
-            return 0;
-        }
-        drop(svc);
-
-        // Idle, stream open: block for the next request.
-        match rx.recv() {
-            Ok(line) => {
-                let mut svc = service.lock().unwrap_or_else(|p| p.into_inner());
-                let responses = svc.handle_line(&line);
-                if !emit(&mut out, &responses) {
-                    return 0;
+                Err(TryRecvError::Disconnected) => {
+                    eof = true;
+                    break;
                 }
             }
-            Err(_) => eof = true,
+        }
+        // Stdout gone: the client hung up — treated as a drain
+        // request, not an error loop.
+        if !emit(&mut out, &service.answer(caller, &lines)) || service.lock().is_draining() {
+            return 0;
+        }
+        if eof {
+            break;
         }
     }
+    // EOF: graceful drain, after every in-flight round commits.
+    emit(&mut out, &service.drain(caller));
+    0
 }
 
 /// `BENCH_serve.json`: the serve counters plus admission-to-result

@@ -23,6 +23,13 @@
 //!    mid-record — exactly what a SIGKILL between group commits
 //!    leaves behind); a restarted service must resume the intact
 //!    prefix and serve those pairs from cache without re-simulating.
+//! 4. **Two front doors at once** — two threads answer rounds of
+//!    their own requests through one [`SharedService`], racing on
+//!    shared misses, with worker panics armed on the first batch.
+//!    Checks: every request comes back exactly once and only to the
+//!    thread that sent it, each armed panic answers job-failed with a
+//!    replay line, and every result is byte-identical to the [`Lab`]
+//!    path.
 //!
 //! Usage: `serve_chaos [quick|paper|<measure_accesses>]` (default: a
 //! small fixed sizing — the properties under test are scale-free).
@@ -33,7 +40,7 @@ use std::time::Duration;
 use cmp_audit::ChaosSchedule;
 use cmp_bench::journal::run_result_to_json;
 use cmp_bench::{Json, Lab, Pair, ResultSource, MULTITHREADED};
-use cmp_serve::{parse_line, shard_journal_path, Request, ServeOptions, Service};
+use cmp_serve::{parse_line, shard_journal_path, Request, ServeOptions, Service, SharedService};
 use cmp_sim::{OrgKind, RunConfig};
 
 fn main() {
@@ -70,6 +77,7 @@ fn main() {
 
     flood_phase(cfg, &pairs, &reference, &mut failures);
     kill_restart_phase(cfg, &pairs, &reference, &mut failures);
+    concurrent_phase(cfg, &pairs, &reference, &mut failures);
 
     if failures.is_empty() {
         eprintln!("serve_chaos: all properties held");
@@ -371,4 +379,95 @@ fn kill_restart_phase(
         svc.simulations()
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Phase 4: two front doors at once, faults armed.
+fn concurrent_phase(
+    cfg: RunConfig,
+    pairs: &[Pair],
+    reference: &HashMap<String, String>,
+    failures: &mut Vec<String>,
+) {
+    const ROUND: usize = 3;
+    let mut opts = ServeOptions::new(cfg);
+    opts.threads = 2;
+    // Both threads' rounds fit in flight together.
+    opts.queue_capacity = 2 * ROUND;
+    // The first round planned is ROUND distinct misses; its armed
+    // jobs panic, whichever thread it belongs to.
+    let schedule = ChaosSchedule::seeded(0xC0C0, ROUND, 2, 0, 0);
+    let panics =
+        schedule.specs().iter().filter(|s| s.event == cmp_audit::ChaosEvent::WorkerPanic).count();
+    opts.chaos = Some(schedule);
+    let shared = SharedService::new(Service::new(opts));
+    // Thread 1 walks the pairs backwards, so the two threads start on
+    // different misses and meet on shared ones.
+    let answers: Vec<(Vec<String>, Vec<Json>)> = std::thread::scope(|s| {
+        let shared = &shared;
+        let handles: Vec<_> = (0..2)
+            .map(|t| {
+                s.spawn(move || {
+                    let caller = shared.caller();
+                    let order: Vec<Pair> =
+                        if t == 0 { pairs.to_vec() } else { pairs.iter().rev().copied().collect() };
+                    let (mut sent, mut got) = (Vec::new(), Vec::new());
+                    for round in order.chunks(ROUND) {
+                        let lines: Vec<String> = round
+                            .iter()
+                            .map(|(w, o)| {
+                                let id = format!("t{t}-{}", sent.len());
+                                sent.push(id.clone());
+                                format!(
+                                    r#"{{"type":"run","id":"{id}","workload":"{}","org":"{}"}}"#,
+                                    w.name(),
+                                    o.name()
+                                )
+                            })
+                            .collect();
+                        got.extend(shared.answer(caller, &lines));
+                    }
+                    (sent, got)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("front-door thread panicked")).collect()
+    });
+
+    let mut failed = 0;
+    for (sent, got) in &answers {
+        let mut seen: HashMap<String, usize> = HashMap::new();
+        for resp in got {
+            let id = resp.get("id").and_then(|v| v.as_str()).unwrap_or("?").to_string();
+            *seen.entry(id.clone()).or_default() += 1;
+            match resp.get("type").and_then(|t| t.as_str()) {
+                Some("result") => {
+                    let served = resp.get("result").map(|r| r.compact()).unwrap_or_default();
+                    if Some(&served) != reference.get(&key_of(resp)) {
+                        failures.push(format!("concurrent byte divergence for {}", key_of(resp)));
+                    }
+                }
+                Some("error") => {
+                    failed += 1;
+                    check_replay(cfg, &id, resp, failures);
+                }
+                other => failures.push(format!("concurrent job {id} answered {other:?}")),
+            }
+        }
+        for id in sent {
+            if seen.remove(id) != Some(1) {
+                failures.push(format!("concurrent job {id} was not answered exactly once"));
+            }
+        }
+        for id in seen.keys() {
+            failures.push(format!("response {id} reached a front door that did not send it"));
+        }
+    }
+    if failed != panics {
+        failures.push(format!("{panics} armed panic(s) but {failed} failed concurrent job(s)"));
+    }
+    eprintln!(
+        "serve_chaos concurrent: answered={} failed={failed} simulations={}",
+        answers.iter().map(|(_, got)| got.len()).sum::<usize>(),
+        shared.lock().simulations()
+    );
 }

@@ -20,17 +20,22 @@
 //!
 //! Both counters (`serve.conn_shed`, `serve.conn_timeouts`) follow
 //! the obs taxonomy: inert unless the layer is enabled.
+//!
+//! Every accepted socket sets `TCP_NODELAY`, and [`emit`] sends each
+//! response batch with one `write_all`. With Nagle on and the body
+//! and its newline in two `send`s, the newline waited for the
+//! client's delayed ACK (~40 ms) on every request after the first.
 
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use cmp_bench::Json;
 use cmp_obs::Counter;
 
-use crate::service::{env, Service};
+use crate::service::{env, SharedService};
 
 /// Connections refused because the cap was reached.
 static CONN_SHED: Counter = Counter::new("serve.conn_shed");
@@ -71,12 +76,14 @@ impl ConnOptions {
 }
 
 /// The bounded TCP accept loop: each admitted connection speaks the
-/// same NDJSON protocol as stdin and is answered synchronously
-/// (admit, process to completion, respond); the labs and their
-/// caches are shared across connections and with stdin, so a pair
-/// simulated for one client is a cache hit for the next. Runs until
-/// the listener errors out; callers put it on its own thread.
-pub fn accept_loop(listener: TcpListener, service: Arc<Mutex<Service>>, opts: ConnOptions) {
+/// same NDJSON protocol as stdin and answers its requests in order
+/// through [`SharedService::answer`], which simulates with the
+/// service lock released, so connections run concurrently. The labs
+/// and their caches are shared across connections and with stdin,
+/// so a pair simulated for one client is a cache hit for the next.
+/// Runs until the listener errors out; callers put it on its own
+/// thread.
+pub fn accept_loop(listener: TcpListener, service: Arc<SharedService>, opts: ConnOptions) {
     let active = Arc::new(AtomicUsize::new(0));
     for stream in listener.incoming() {
         let Ok(stream) = stream else { continue };
@@ -128,10 +135,11 @@ fn shed_connection(stream: TcpStream, max: usize) {
 
 /// One admitted connection: read a line (bounded by the idle
 /// timeout), answer it fully, repeat until EOF, error, or timeout.
-fn handle_connection(stream: TcpStream, service: &Arc<Mutex<Service>>, opts: &ConnOptions) {
-    if stream.set_read_timeout(opts.read_timeout).is_err() {
+fn handle_connection(stream: TcpStream, service: &SharedService, opts: &ConnOptions) {
+    if configure_stream(&stream, opts).is_err() {
         return;
     }
+    let caller = service.caller();
     let mut writer = match stream.try_clone() {
         Ok(w) => w,
         Err(_) => return,
@@ -151,20 +159,18 @@ fn handle_connection(stream: TcpStream, service: &Arc<Mutex<Service>>, opts: &Co
             }
             Err(_) => return,
         }
-        let responses = answer_line(service, &line);
+        let responses = service.answer(caller, std::slice::from_ref(&line));
         if !emit(&mut writer, &responses) {
             return;
         }
     }
 }
 
-/// Handles one request line to completion: admit, then process the
-/// queue, which answers this connection's work.
-fn answer_line(service: &Arc<Mutex<Service>>, line: &str) -> Vec<Json> {
-    let mut svc = service.lock().unwrap_or_else(|p| p.into_inner());
-    let mut responses = svc.handle_line(line);
-    responses.extend(svc.process_ready());
-    responses
+/// Readies an accepted socket: `TCP_NODELAY`, so a response leaves
+/// as soon as it is written, and the idle timeout on reads.
+fn configure_stream(stream: &TcpStream, opts: &ConnOptions) -> std::io::Result<()> {
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(opts.read_timeout)
 }
 
 /// The structured close notice for a timed-out connection.
@@ -178,20 +184,25 @@ fn idle_timeout_response(timeout: Option<Duration>) -> Json {
     resp
 }
 
-/// Writes responses as NDJSON; false when the peer is gone.
-fn emit(out: &mut impl Write, responses: &[Json]) -> bool {
-    for r in responses {
-        if writeln!(out, "{}", r.compact()).is_err() {
-            return false;
-        }
+/// Writes a batch of responses as NDJSON with one `write_all` (one
+/// `send` on a socket), then flushes; false when the peer is gone.
+/// Both front doors answer through it.
+pub fn emit(out: &mut impl Write, responses: &[Json]) -> bool {
+    if responses.is_empty() {
+        return true;
     }
-    out.flush().is_ok()
+    let mut buf = String::new();
+    for r in responses {
+        buf.push_str(&r.compact());
+        buf.push('\n');
+    }
+    out.write_all(buf.as_bytes()).and_then(|()| out.flush()).is_ok()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ServeOptions;
+    use crate::{ServeOptions, Service};
     use cmp_sim::RunConfig;
     use std::io::BufRead;
     use std::net::TcpStream;
@@ -199,8 +210,9 @@ mod tests {
     fn start(opts: ConnOptions) -> std::net::SocketAddr {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
         let addr = listener.local_addr().expect("local addr");
-        let svc =
-            Arc::new(Mutex::new(Service::new(ServeOptions::new(RunConfig::sized(200, 400, 7)))));
+        let svc = Arc::new(SharedService::new(Service::new(ServeOptions::new(RunConfig::sized(
+            200, 400, 7,
+        )))));
         std::thread::spawn(move || accept_loop(listener, svc, opts));
         addr
     }
@@ -282,6 +294,53 @@ mod tests {
         let after = CONN_TIMEOUTS.get();
         cmp_obs::set_enabled(was_enabled);
         assert!(after > before, "timeout is surfaced in serve.conn_timeouts");
+    }
+
+    /// Counts `write` calls and keeps the bytes written.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn emit_sends_a_response_batch_in_one_write() {
+        let batch: Vec<Json> =
+            (1..=3).map(|ms| idle_timeout_response(Some(Duration::from_millis(ms)))).collect();
+        let mut out = CountingWriter::default();
+        assert!(emit(&mut out, &batch));
+        assert_eq!(out.writes, 1, "one write per batch, not one per line or per newline");
+        let text = String::from_utf8(out.bytes).expect("utf-8");
+        let expect: String = batch.iter().map(|r| format!("{}\n", r.compact())).collect();
+        assert_eq!(text, expect, "NDJSON: one compact response per line");
+
+        let mut idle = CountingWriter::default();
+        assert!(emit(&mut idle, &[]));
+        assert_eq!(idle.writes, 0, "an empty batch writes nothing");
+    }
+
+    #[test]
+    fn connection_streams_set_nodelay_and_the_idle_timeout() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
+        let _client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (accepted, _) = listener.accept().expect("accept");
+        let opts = ConnOptions::default();
+        // The setup `handle_connection` applies to every stream.
+        configure_stream(&accepted, &opts).expect("configure");
+        assert!(accepted.nodelay().expect("nodelay"), "TCP_NODELAY is on");
+        assert_eq!(accepted.read_timeout().expect("timeout"), opts.read_timeout);
     }
 
     #[test]

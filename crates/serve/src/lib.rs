@@ -15,6 +15,9 @@
 //!   connection cap that sheds over-limit clients with a structured
 //!   response, and a read/idle timeout that reclaims silent
 //!   connections;
+//! * concurrent front doors ([`SharedService`]): the service lock is
+//!   held to admit, plan, commit and answer, never while simulating,
+//!   so one connection's memo hit does not wait for another's miss;
 //! * optional OS-process fault isolation for batches
 //!   ([`cmp_bench::shard`], `CMP_SERVE_SHARD_WORKERS`): sweeps fan
 //!   out to `cmp-shard-worker` processes a supervisor can `kill -9`
@@ -48,4 +51,7 @@ pub mod service;
 
 pub use conn::{accept_loop, ConnOptions};
 pub use request::{error_response, parse_line, JobSpec, Request};
-pub use service::{env, shard_journal_path, worker_binary, ServeOptions, ServeStats, Service};
+pub use service::{
+    env, shard_journal_path, worker_binary, Caller, Planned, Ran, ServeOptions, ServeStats,
+    Service, SharedService, MAX_OPEN_SHARDS,
+};

@@ -1,15 +1,23 @@
 //! The serving core: a bounded admission queue in front of the
 //! shared memoizing [`Lab`].
 //!
-//! The core is deliberately synchronous and single-threaded — the
-//! binaries wrap it in reader/worker threads, tests drive it step by
-//! step — which keeps every robustness property inspectable:
+//! **Lock discipline.** The front doors share one [`Service`] through
+//! a [`SharedService`] (a mutex plus a condition variable). Each
+//! request round runs in three phases. Admit and plan
+//! ([`Service::admit`], [`Service::plan`]) happen under the lock, and
+//! planning takes only the caller's own admissions. The misses are
+//! simulated without the lock ([`Planned::run`]). Commit and answer
+//! ([`Service::commit`]) happen under the lock again. A memo hit thus
+//! never waits behind another front door's simulation, and misses from
+//! different front doors simulate at the same time. Tests drive the
+//! phases step by step, which keeps every robustness property
+//! inspectable:
 //!
-//! * **Bounded admission** ([`Service::handle_line`]): the queue
-//!   never exceeds `queue_capacity`; a request that does not fit is
-//!   answered immediately with a structured `shed` response instead
-//!   of growing memory.
-//! * **Deadlines** ([`Service::process_ready`]): a request's
+//! * **Bounded admission** ([`Service::admit`]): queued plus
+//!   in-flight jobs never exceed `queue_capacity`; a request that
+//!   does not fit is answered immediately with a structured `shed`
+//!   response instead of growing memory.
+//! * **Deadlines** ([`Service::plan`]): a request's
 //!   `deadline-ms` becomes an absolute expiry at admission. Expired
 //!   jobs are answered without simulating; jobs that expire mid-run
 //!   are cut by the supervised pool's cancellation fence, so no
@@ -20,27 +28,34 @@
 //!   pair's `run` request, which reproduces the failure when piped
 //!   back in. Simulation purity means a retry would fail the same
 //!   way, so there is none; only the shard supervisor restarts work.
-//! * **Coalescing**: requests for an already-cached or in-batch
-//!   duplicate pair are answered from one simulation (`cached: true`
-//!   in the response, `serve.deduped` in the metrics).
+//! * **Coalescing, per batch**: requests for an already-cached or
+//!   in-batch duplicate pair are answered from one simulation
+//!   (`cached: true` in the response, `serve.deduped` in the
+//!   metrics). Two rounds that miss on the same pair concurrently
+//!   both simulate it; the first commit caches and journals it.
 //! * **Crash consistency**: each distinct run configuration shards to
 //!   its own checkpoint journal; a restarted service resumes from
 //!   whatever the group-committed journal retained and serves those
 //!   pairs from cache.
-//! * **Graceful drain** ([`Service::drain`]): still-queued jobs are
-//!   shed with structured responses, journals are fsynced, and a
+//! * **Bounded shards**: at most [`MAX_OPEN_SHARDS`] shard labs stay
+//!   open; the least recently used one is synced and closed, and a
+//!   later request for it reopens its journal.
+//! * **Graceful drain** ([`Service::drain`], [`SharedService::drain`]):
+//!   the caller's still-queued jobs are shed with structured
+//!   responses, in-flight rounds commit, journals are fsynced, and a
 //!   summary response closes the stream.
 
 use std::collections::VecDeque;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::path::{Path, PathBuf};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use cmp_audit::ChaosSchedule;
 use cmp_bench::journal::run_result_to_json;
-use cmp_bench::shard::{request_line, run_sharded, ShardOptions, ShardSlot};
+use cmp_bench::shard::{request_line, ShardOptions};
 use cmp_bench::sweep::Resilience;
-use cmp_bench::{BatchSlot, JobError, Json, Lab, Pair};
+use cmp_bench::{BatchPlan, BatchSlot, JobError, Json, Lab, Pair, RanBatch};
 use cmp_obs::{Counter, Histogram};
 use cmp_sim::{RunConfig, SimError};
 
@@ -221,7 +236,16 @@ pub struct ServeStats {
     pub invalid: u64,
 }
 
+/// Which front door admitted a job. [`Service::plan`] takes only its
+/// caller's admissions, so each front door (a TCP connection, the
+/// stdin loop) answers exactly the jobs it admitted.
+/// `Caller::default()` is the caller behind [`Service::handle_line`]
+/// and [`Service::process_ready`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Caller(u64);
+
 struct Queued {
+    caller: Caller,
     spec: JobSpec,
     admitted_at: Instant,
     deadline_at: Option<Instant>,
@@ -242,15 +266,87 @@ fn shard_key(cfg: &RunConfig) -> ShardKey {
     (cfg.warmup_accesses, cfg.measure_accesses, cfg.seed, metric, rel, conf)
 }
 
+/// Most shard labs a service keeps open. Every distinct run
+/// configuration (each request seed) is its own shard, and each open
+/// shard holds its memo cache and journal file; past the cap the least
+/// recently used shard is synced and closed, and a later request for
+/// it reopens its journal.
+pub const MAX_OPEN_SHARDS: usize = 64;
+
 /// The serving core. See the module docs for the property list.
 pub struct Service {
     opts: ServeOptions,
+    /// Open shard labs, least recently used first.
     labs: Vec<(ShardKey, Lab)>,
+    /// Journaled shards closed by the cap and not reopened since:
+    /// their journal records are this life's own, already counted.
+    evicted: HashSet<ShardKey>,
+    /// Simulations performed by labs the cap has closed.
+    retired_simulations: usize,
+    /// Journal records read back at each shard's first open.
+    restored: usize,
     queue: VecDeque<Queued>,
+    /// Jobs planned by [`Service::plan`] and not yet committed.
+    in_flight: usize,
+    /// Drain requests whose summary waits for in-flight jobs.
+    drains_owed: Vec<(Caller, Json)>,
+    next_caller: u64,
     chaos: Option<ChaosSchedule>,
     draining: bool,
     stats: ServeStats,
     started: Instant,
+}
+
+/// One caller's admitted jobs, planned under the service lock by
+/// [`Service::plan`]. [`Planned::run`] simulates the misses without
+/// the lock; [`Service::commit`] merges and answers them.
+pub struct Planned {
+    /// Answers settled while planning (deadlines expired in the
+    /// queue).
+    early: Vec<Json>,
+    groups: Vec<PlannedGroup>,
+}
+
+/// Jobs sharing a shard, a requested deadline and a concurrency cap:
+/// one batch.
+struct PlannedGroup {
+    shard: ShardKey,
+    jobs: Vec<Queued>,
+    batch: BatchPlan,
+    /// The worker binary and options when the batch fans out to
+    /// `cmp-shard-worker` processes instead of the in-process pool.
+    sharded: Option<(PathBuf, ShardOptions)>,
+}
+
+/// [`Planned`] work whose simulations have run, ready for
+/// [`Service::commit`].
+pub struct Ran {
+    early: Vec<Json>,
+    groups: Vec<(ShardKey, Vec<Queued>, RanBatch)>,
+}
+
+impl Planned {
+    /// Jobs this plan will answer through [`Service::commit`].
+    pub fn jobs(&self) -> usize {
+        self.groups.iter().map(|g| g.jobs.len()).sum()
+    }
+
+    /// Simulates every group's misses. Needs no access to the
+    /// service, so callers run it with the lock released.
+    pub fn run(self) -> Ran {
+        let groups = self
+            .groups
+            .into_iter()
+            .map(|g| {
+                let ran = match &g.sharded {
+                    Some((worker, sopts)) => g.batch.run_sharded(worker, sopts),
+                    None => g.batch.run(),
+                };
+                (g.shard, g.jobs, ran)
+            })
+            .collect();
+        Ran { early: self.early, groups }
+    }
 }
 
 impl Service {
@@ -260,7 +356,13 @@ impl Service {
         Service {
             opts,
             labs: Vec::new(),
+            evicted: HashSet::new(),
+            retired_simulations: 0,
+            restored: 0,
             queue: VecDeque::new(),
+            in_flight: 0,
+            drains_owed: Vec::new(),
+            next_caller: 1,
             chaos,
             draining: false,
             stats: ServeStats::default(),
@@ -268,14 +370,31 @@ impl Service {
         }
     }
 
+    /// A fresh caller identity for a new front door.
+    pub fn caller(&mut self) -> Caller {
+        self.next_caller += 1;
+        Caller(self.next_caller - 1)
+    }
+
     /// The live serving counters.
     pub fn stats(&self) -> ServeStats {
         self.stats
     }
 
-    /// Jobs currently queued (admitted, not yet answered).
+    /// Jobs currently queued (admitted, not yet planned).
     pub fn pending(&self) -> usize {
         self.queue.len()
+    }
+
+    /// Jobs planned and not yet committed (their simulations may be
+    /// running on another thread).
+    pub fn in_flight(&self) -> usize {
+        self.in_flight
+    }
+
+    /// Shard labs currently open (at most [`MAX_OPEN_SHARDS`]).
+    pub fn open_shards(&self) -> usize {
+        self.labs.len()
     }
 
     /// Whether a drain has been requested.
@@ -283,21 +402,30 @@ impl Service {
         self.draining
     }
 
-    /// Total simulations actually performed across every shard.
+    /// Total simulations actually performed across every shard,
+    /// closed ones included.
     pub fn simulations(&self) -> usize {
-        self.labs.iter().map(|(_, lab)| lab.simulations()).sum()
+        self.retired_simulations + self.labs.iter().map(|(_, lab)| lab.simulations()).sum::<usize>()
     }
 
-    /// Pairs restored from journals across every shard.
+    /// Pairs restored from journals written before this service
+    /// started (a shard reopened after the cap closed it reads back
+    /// its own records, which are not counted again).
     pub fn restored(&self) -> usize {
-        self.labs.iter().map(|(_, lab)| lab.restored()).sum()
+        self.restored
     }
 
-    /// Handles one request line: parses, validates, and either
-    /// answers immediately (admin requests, validation errors, sheds)
-    /// or admits jobs for the next [`Service::process_ready`] call.
-    /// Every returned [`Json`] is one response line.
+    /// [`Service::admit`] for the default caller.
     pub fn handle_line(&mut self, line: &str) -> Vec<Json> {
+        self.admit(Caller::default(), line)
+    }
+
+    /// Handles one request line from `caller`: parses, validates, and
+    /// either answers immediately (admin requests, validation errors,
+    /// sheds) or admits jobs for the caller's next
+    /// [`Service::plan`]. Every returned [`Json`] is one response
+    /// line.
+    pub fn admit(&mut self, caller: Caller, line: &str) -> Vec<Json> {
         let trimmed = line.trim();
         if trimmed.is_empty() {
             return Vec::new();
@@ -317,7 +445,7 @@ impl Service {
             }
             Ok(Request::Health(id)) => vec![self.health_response(id)],
             Ok(Request::Stats(id)) => vec![self.stats_response(id)],
-            Ok(Request::Drain(id)) => self.drain_with_id(id),
+            Ok(Request::Drain(id)) => self.drain_request(caller, id),
             Ok(Request::Jobs(jobs)) => {
                 let now = Instant::now();
                 let mut responses = Vec::new();
@@ -328,7 +456,7 @@ impl Service {
                         SHED.inc();
                         continue;
                     }
-                    if self.queue.len() >= self.opts.queue_capacity {
+                    if self.queue.len() + self.in_flight >= self.opts.queue_capacity {
                         responses.push(self.shed_response(&spec, "queue full"));
                         self.stats.shed += 1;
                         SHED.inc();
@@ -336,6 +464,7 @@ impl Service {
                     }
                     let deadline = spec.deadline.or(self.opts.default_deadline);
                     self.queue.push_back(Queued {
+                        caller,
                         spec,
                         admitted_at: now,
                         deadline_at: deadline.map(|d| now + d),
@@ -348,23 +477,34 @@ impl Service {
         }
     }
 
-    /// Runs every queued job through its lab and returns their
-    /// response lines; the queue is empty afterwards.
+    /// Runs every job the default caller has queued and returns their
+    /// response lines: [`Service::plan`], [`Planned::run`] and
+    /// [`Service::commit`] back to back.
     pub fn process_ready(&mut self) -> Vec<Json> {
+        let planned = self.plan(Caller::default());
+        self.commit(planned.run())
+    }
+
+    /// Takes `caller`'s queued jobs and plans them: jobs whose
+    /// deadline expired in the queue are answered now, the rest are
+    /// grouped into batches and checked against the memo caches. The
+    /// plan counts as in flight until [`Service::commit`].
+    pub fn plan(&mut self, caller: Caller) -> Planned {
         let now = Instant::now();
-        let mut responses = Vec::new();
-        let ready = std::mem::take(&mut self.queue);
+        let mut early = Vec::new();
+        let mine = self.take_queued(caller);
 
         // Deadline fence #1: expired while queued — answered without
         // ever simulating.
         let (expired, ready): (Vec<_>, Vec<_>) =
-            ready.into_iter().partition(|q| q.deadline_at.is_some_and(|t| t <= now));
+            mine.into_iter().partition(|q| q.deadline_at.is_some_and(|t| t <= now));
         for q in expired {
-            responses.push(self.deadline_response(&q));
+            early.push(self.deadline_response(&q));
         }
 
         // Group by (run-config shard, requested deadline, concurrency
-        // cap): jobs in a group share one batch and a pool deadline. BTreeMap keeps group order deterministic.
+        // cap): jobs in a group share one batch and a pool deadline.
+        // BTreeMap keeps group order deterministic.
         type GroupKey = (ShardKey, Option<u64>, Option<usize>);
         let mut groups: BTreeMap<GroupKey, Vec<Queued>> = BTreeMap::new();
         for q in ready {
@@ -375,69 +515,64 @@ impl Service {
             );
             groups.entry(key).or_default().push(q);
         }
-
-        for ((shard, _, max_concurrency), group) in groups {
-            responses.extend(self.run_group(shard, max_concurrency, group));
-        }
-        responses
+        let groups: Vec<PlannedGroup> = groups
+            .into_iter()
+            .map(|((shard, _, max_concurrency), jobs)| {
+                self.plan_group(shard, max_concurrency, jobs)
+            })
+            .collect();
+        let planned = Planned { early, groups };
+        self.in_flight += planned.jobs();
+        planned
     }
 
-    fn run_group(
+    /// Removes and returns `caller`'s queued jobs, in admission order.
+    fn take_queued(&mut self, caller: Caller) -> VecDeque<Queued> {
+        let (mine, rest) =
+            std::mem::take(&mut self.queue).into_iter().partition(|q| q.caller == caller);
+        self.queue = rest;
+        mine
+    }
+
+    fn plan_group(
         &mut self,
         shard: ShardKey,
         max_concurrency: Option<usize>,
-        group: Vec<Queued>,
-    ) -> Vec<Json> {
-        let cfg = group[0].spec.cfg;
-        let slots = match self.shard_batch(shard, &group, cfg) {
-            Some(slots) => slots,
-            None => self.in_process_batch(shard, max_concurrency, &group, cfg),
-        };
-        self.answer_group(group, slots)
-    }
-
-    /// The single-process batch path: the group runs through the
-    /// shared lab's supervised thread pool.
-    fn in_process_batch(
-        &mut self,
-        shard: ShardKey,
-        max_concurrency: Option<usize>,
-        group: &[Queued],
-        cfg: RunConfig,
-    ) -> Vec<BatchSlot> {
-        let now = Instant::now();
-        let chaos = self.chaos.take();
-        let threads = self.opts.threads;
-        let lab = self.lab_for(shard, cfg);
-        lab.set_threads(max_concurrency.map_or(threads, |c| c.min(threads)));
-
+        jobs: Vec<Queued>,
+    ) -> PlannedGroup {
+        let cfg = jobs[0].spec.cfg;
+        let pairs: Vec<Pair> = jobs.iter().map(|q| q.spec.pair).collect();
+        let sharded = self.sharded_runner(shard, cfg, &pairs);
         // Pool deadline: the tightest remaining budget in the group
         // (the group shares one requested deadline, so the jobs'
         // budgets differ only by their admission instants).
-        let deadline = group
+        let now = Instant::now();
+        let deadline = jobs
             .iter()
             .filter_map(|q| q.deadline_at)
             .map(|t| t.saturating_duration_since(now))
             .min();
+        let chaos = if sharded.is_none() { self.chaos.take() } else { None };
+        let threads = self.opts.threads;
+        let lab = self.lab_for(shard, cfg);
+        lab.set_threads(max_concurrency.map_or(threads, |c| c.min(threads)));
         lab.set_resilience(Resilience { deadline, chaos });
-
-        let pairs: Vec<Pair> = group.iter().map(|q| q.spec.pair).collect();
-        lab.run_batch(&pairs)
+        let batch = lab.plan(&pairs);
+        PlannedGroup { shard, jobs, batch, sharded }
     }
 
-    /// The OS-process sharded batch path: with [`ServeOptions::shard_workers`]
-    /// at 2+ and a resolvable worker binary, a group of 2+ distinct
-    /// uncached pairs fans out across `cmp-shard-worker` processes
-    /// ([`cmp_bench::shard`]); results are adopted into the shared
-    /// lab so coalescing, journaling, and the stats surface stay
-    /// coherent with the in-process path. Returns `None` when the
-    /// path does not apply (the caller falls back in-process).
-    fn shard_batch(
+    /// The OS-process sharded batch path applies with
+    /// [`ServeOptions::shard_workers`] at 2+, a resolvable worker
+    /// binary, and 2+ distinct uncached pairs in the group; the
+    /// results come back through the same [`Lab::commit`] as an
+    /// in-process batch, so coalescing, journaling, and the stats
+    /// surface stay coherent. `None` runs the group in-process.
+    fn sharded_runner(
         &mut self,
         shard: ShardKey,
-        group: &[Queued],
         cfg: RunConfig,
-    ) -> Option<Vec<BatchSlot>> {
+        pairs: &[Pair],
+    ) -> Option<(PathBuf, ShardOptions)> {
         if self.opts.shard_workers < 2 {
             return None;
         }
@@ -448,70 +583,31 @@ impl Service {
             return None;
         };
         let lab = self.lab_for(shard, cfg);
-        let mut seen = HashSet::new();
-        let misses: Vec<Pair> = group
-            .iter()
-            .map(|q| q.spec.pair)
-            .filter(|p| !lab.contains(p.0, p.1) && seen.insert(*p))
-            .collect();
+        let misses: HashSet<Pair> =
+            pairs.iter().copied().filter(|p| !lab.contains(p.0, p.1)).collect();
         if misses.len() < 2 {
             return None; // a process fleet for one pair is overhead, not isolation
         }
-
         let mut sopts = ShardOptions::new(self.opts.shard_workers);
         sopts.journal_base =
             self.opts.journal_base.as_ref().map(|base| shard_journal_path(base, &cfg));
-        let report = run_sharded(&worker, &misses, &cfg, &sopts);
+        Some((worker, sopts))
+    }
 
-        let mut failed: HashMap<Pair, cmp_sim::SimError> = HashMap::new();
-        let mut quarantined: HashMap<Pair, String> = HashMap::new();
-        let mut fresh_ms: HashMap<Pair, f64> = HashMap::new();
-        let lab = self.lab_for(shard, cfg);
-        for (pair, slot) in report.pairs.iter().zip(report.slots) {
-            match slot {
-                ShardSlot::Done { result, millis } => {
-                    if let Some(ms) = millis {
-                        fresh_ms.insert(*pair, ms);
-                    }
-                    lab.adopt(*pair, *result);
-                }
-                ShardSlot::Failed(e) => {
-                    failed.insert(*pair, e);
-                }
-                ShardSlot::Quarantined { shard: s, cause } => {
-                    quarantined.insert(*pair, format!("shard {s} {cause}"));
-                }
-            }
+    /// Merges run batches into their shards' memo caches and journals
+    /// and answers every job of the plan.
+    pub fn commit(&mut self, ran: Ran) -> Vec<Json> {
+        let mut responses = ran.early;
+        for (shard, jobs, batch) in ran.groups {
+            self.in_flight = self.in_flight.saturating_sub(jobs.len());
+            let slots = self.lab_for(shard, jobs[0].spec.cfg).commit(batch);
+            responses.extend(self.answer_group(jobs, slots));
         }
-        if let Err(e) = lab.sync_journal() {
-            let msg = e.to_string();
-            cmp_obs::warn!("journal sync failed after sharded batch", error = msg);
-        }
-
-        Some(
-            group
-                .iter()
-                .map(|q| {
-                    let pair = q.spec.pair;
-                    if let Some(e) = failed.get(&pair) {
-                        BatchSlot::Failed(e.clone())
-                    } else if let Some(cause) = quarantined.get(&pair) {
-                        BatchSlot::Quarantined(JobError::Panicked(cause.clone()))
-                    } else if let Some(r) = lab.peek(pair) {
-                        BatchSlot::Done {
-                            result: Box::new(r.clone()),
-                            millis: fresh_ms.remove(&pair),
-                        }
-                    } else {
-                        BatchSlot::Quarantined(JobError::Cancelled)
-                    }
-                })
-                .collect(),
-        )
+        responses
     }
 
     /// Turns per-submission batch slots into response lines and
-    /// stats updates — shared by the in-process and sharded paths.
+    /// stats updates.
     fn answer_group(&mut self, group: Vec<Queued>, slots: Vec<BatchSlot>) -> Vec<Json> {
         let mut responses = Vec::new();
         let done = Instant::now();
@@ -559,20 +655,40 @@ impl Service {
         responses
     }
 
+    /// The shard's lab, opened (or reopened from its journal) on
+    /// demand and marked most recently used; opening past
+    /// [`MAX_OPEN_SHARDS`] closes the least recently used shard.
     fn lab_for(&mut self, shard: ShardKey, cfg: RunConfig) -> &mut Lab {
-        // Lookup-or-insert without an `unwrap()` on the freshly
-        // pushed element: resolve the index first, then reborrow, so
-        // the borrow checker and the panic-free surface are both
-        // satisfied.
-        let i = match self.labs.iter().position(|(k, _)| *k == shard) {
-            Some(i) => i,
+        match self.labs.iter().position(|(k, _)| *k == shard) {
+            Some(i) => self.labs[i..].rotate_left(1),
             None => {
+                if self.labs.len() >= MAX_OPEN_SHARDS {
+                    self.evict_lru();
+                }
                 let lab = self.build_lab(cfg);
+                if !self.evicted.remove(&shard) {
+                    self.restored += lab.restored();
+                }
                 self.labs.push((shard, lab));
-                self.labs.len() - 1
             }
-        };
-        &mut self.labs[i].1
+        }
+        let last = self.labs.len() - 1;
+        &mut self.labs[last].1
+    }
+
+    /// Closes the least recently used shard: its journal is synced
+    /// and its memo cache dropped; a batch planned against it still
+    /// commits, into the reopened lab.
+    fn evict_lru(&mut self) {
+        let (shard, mut lab) = self.labs.remove(0);
+        if let Err(e) = lab.sync_journal() {
+            let msg = e.to_string();
+            cmp_obs::warn!("journal sync failed closing a shard", error = msg);
+        }
+        self.retired_simulations += lab.simulations();
+        if lab.journal_path().is_some() {
+            self.evicted.insert(shard);
+        }
     }
 
     /// Builds a shard's lab, degrading gracefully when its journal
@@ -603,21 +719,58 @@ impl Service {
         lab
     }
 
-    /// Graceful drain: refuses new work, sheds everything still
-    /// queued with structured responses, fsyncs every journal shard,
-    /// and appends a `drained` summary line.
+    /// Graceful drain for the default caller: refuses new work, sheds
+    /// its queued jobs with structured responses, fsyncs every open
+    /// journal shard, and appends a `drained` summary line. Call it
+    /// with nothing in flight; [`SharedService::drain`] waits for that.
     pub fn drain(&mut self) -> Vec<Json> {
-        self.drain_with_id(Json::Null)
+        let mut responses = self.begin_drain(Caller::default());
+        responses.push(self.finish_drain(Json::Null));
+        responses
     }
 
-    fn drain_with_id(&mut self, id: Json) -> Vec<Json> {
+    /// Refuses new work and sheds `caller`'s queued jobs. Other
+    /// callers' admissions stay theirs to plan and answer.
+    fn begin_drain(&mut self, caller: Caller) -> Vec<Json> {
         self.draining = true;
         let mut responses = Vec::new();
-        while let Some(q) = self.queue.pop_front() {
+        for q in self.take_queued(caller) {
             responses.push(self.shed_response(&q.spec, "draining"));
             self.stats.drained += 1;
             DRAINED.inc();
         }
+        responses
+    }
+
+    /// A `drain` request: the summary comes now when nothing is in
+    /// flight, otherwise [`SharedService::answer`] delivers it after
+    /// the last in-flight job commits.
+    fn drain_request(&mut self, caller: Caller, id: Json) -> Vec<Json> {
+        let mut responses = self.begin_drain(caller);
+        if self.in_flight == 0 {
+            responses.push(self.finish_drain(id));
+        } else {
+            self.drains_owed.push((caller, id));
+        }
+        responses
+    }
+
+    /// Whether `caller` asked for a drain whose summary is still owed.
+    fn owes_drain(&self, caller: Caller) -> bool {
+        self.drains_owed.iter().any(|(c, _)| *c == caller)
+    }
+
+    /// The summaries owed to `caller`; call with nothing in flight.
+    fn finish_owed_drains(&mut self, caller: Caller) -> Vec<Json> {
+        let (mine, rest): (Vec<_>, Vec<_>) =
+            std::mem::take(&mut self.drains_owed).into_iter().partition(|(c, _)| *c == caller);
+        self.drains_owed = rest;
+        mine.into_iter().map(|(_, id)| self.finish_drain(id)).collect()
+    }
+
+    /// Fsyncs every open journal shard and builds the `drained`
+    /// summary.
+    fn finish_drain(&mut self, id: Json) -> Json {
         let mut synced = true;
         for (_, lab) in &mut self.labs {
             if let Err(e) = lab.sync_journal() {
@@ -632,8 +785,7 @@ impl Service {
         summary.set("completed", Json::Num(self.stats.completed as f64));
         summary.set("shed-at-drain", Json::Num(self.stats.drained as f64));
         summary.set("journal-synced", Json::Bool(synced));
-        responses.push(summary);
-        responses
+        summary
     }
 
     fn health_response(&self, id: Json) -> Json {
@@ -684,6 +836,70 @@ impl Service {
         DEADLINE_EXPIRED.inc();
         let pair = format!("{}/{}", q.spec.pair.0.name(), q.spec.pair.1.name());
         error_response(&q.spec.id, &SimError::DeadlineExpired { pair })
+    }
+}
+
+/// A [`Service`] shared by concurrent front doors: TCP connections
+/// and the stdin loop. The lock is held to admit and plan a round and
+/// again to commit and answer it, never while it simulates; the
+/// condition variable lets a drain wait for rounds still between plan
+/// and commit.
+pub struct SharedService {
+    service: Mutex<Service>,
+    committed: Condvar,
+}
+
+impl SharedService {
+    /// Shares `service` between front doors.
+    pub fn new(service: Service) -> SharedService {
+        SharedService { service: Mutex::new(service), committed: Condvar::new() }
+    }
+
+    /// Locks the service. A front door that panicked mid-round leaves
+    /// counters behind, not a broken invariant, so poison is ignored.
+    pub fn lock(&self) -> MutexGuard<'_, Service> {
+        self.service.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// A fresh caller identity for a new front door.
+    pub fn caller(&self) -> Caller {
+        self.lock().caller()
+    }
+
+    /// Answers one round of request lines from `caller`: admit and
+    /// plan under the lock, simulate without it, then commit and
+    /// answer under it. A drain requested in the round answers its
+    /// summary after every other in-flight round has committed.
+    pub fn answer<S: AsRef<str>>(&self, caller: Caller, lines: &[S]) -> Vec<Json> {
+        let mut svc = self.lock();
+        let mut responses: Vec<Json> =
+            lines.iter().flat_map(|line| svc.admit(caller, line.as_ref())).collect();
+        let planned = svc.plan(caller);
+        drop(svc);
+        let ran = planned.run();
+        let mut svc = self.lock();
+        responses.extend(svc.commit(ran));
+        self.committed.notify_all();
+        if svc.owes_drain(caller) {
+            let mut svc = self.wait_idle(svc);
+            responses.extend(svc.finish_owed_drains(caller));
+        }
+        responses
+    }
+
+    /// Graceful drain on behalf of `caller` (stdin EOF): sheds what
+    /// is queued, waits for every in-flight job to commit, then syncs
+    /// the journals and returns the `drained` summary last.
+    pub fn drain(&self, caller: Caller) -> Vec<Json> {
+        let mut svc = self.lock();
+        let mut responses = svc.begin_drain(caller);
+        let mut svc = self.wait_idle(svc);
+        responses.push(svc.finish_drain(Json::Null));
+        responses
+    }
+
+    fn wait_idle<'a>(&self, svc: MutexGuard<'a, Service>) -> MutexGuard<'a, Service> {
+        self.committed.wait_while(svc, |s| s.in_flight > 0).unwrap_or_else(|p| p.into_inner())
     }
 }
 
@@ -963,5 +1179,193 @@ mod tests {
         assert!(capture.contains("CMP_SERVE_QUEUE"), "warn names the variable");
         assert!(capture.contains("many"), "warn names the offending value");
         assert!(capture.contains("CMP_SERVE_FSYNC_EVERY"));
+    }
+
+    fn scratch_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("cmp-serve-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create scratch dir");
+        dir
+    }
+
+    fn run_line(id: &str, workload: &str, org: &str, extra: &str) -> String {
+        format!(r#"{{"type":"run","id":"{id}","workload":"{workload}","org":"{org}"{extra}}}"#)
+    }
+
+    fn ids(responses: &[Json]) -> Vec<&str> {
+        responses.iter().map(|r| r.get("id").and_then(Json::as_str).unwrap_or("?")).collect()
+    }
+
+    fn payload(resp: &Json) -> String {
+        resp.get("result").expect("result payload").compact()
+    }
+
+    #[test]
+    fn each_caller_plans_and_answers_only_its_own_admissions() {
+        let mut svc = Service::new(tiny_opts());
+        let (a, b) = (svc.caller(), svc.caller());
+        assert!(svc.admit(a, &run_line("a1", "barnes", "shared", "")).is_empty());
+        assert!(svc.admit(b, &run_line("b1", "barnes", "private", "")).is_empty());
+        assert!(svc.admit(a, &run_line("a2", "ocean", "shared", "")).is_empty());
+        // b plans first and must not take a's jobs.
+        let plan_b = svc.plan(b);
+        assert_eq!(plan_b.jobs(), 1);
+        assert_eq!(svc.pending(), 2, "a's admissions stay queued for a");
+        let plan_a = svc.plan(a);
+        assert_eq!((plan_a.jobs(), svc.pending(), svc.in_flight()), (2, 0, 3));
+        let (ran_a, ran_b) = (plan_a.run(), plan_b.run());
+        let rb = svc.commit(ran_b);
+        assert_eq!((types(&rb), ids(&rb)), (vec!["result".to_string()], vec!["b1"]));
+        let ra = svc.commit(ran_a);
+        assert_eq!(types(&ra), ["result", "result"]);
+        assert_eq!(ids(&ra), ["a1", "a2"]);
+        assert_eq!(svc.in_flight(), 0);
+    }
+
+    #[test]
+    fn concurrent_duplicate_misses_commit_one_record_and_identical_answers() {
+        let dir = scratch_dir("dup-miss");
+        let mut opts = tiny_opts();
+        opts.journal_base = Some(dir.join("serve.jsonl"));
+        let journal = shard_journal_path(&dir.join("serve.jsonl"), &opts.default_config);
+        let mut svc = Service::new(opts);
+        let (a, b) = (svc.caller(), svc.caller());
+        svc.admit(a, &run_line("a", "barnes", "shared", ""));
+        let plan_a = svc.plan(a);
+        svc.admit(b, &run_line("b", "barnes", "shared", ""));
+        let plan_b = svc.plan(b);
+        // Neither plan has committed, so both miss: coalescing is per
+        // batch, and the two simulations are bit-identical.
+        let (ran_a, ran_b) = (plan_a.run(), plan_b.run());
+        let ra = svc.commit(ran_a);
+        let rb = svc.commit(ran_b);
+        assert_eq!((types(&ra), types(&rb)), (vec!["result".to_string()], vec!["result".into()]));
+        assert_eq!(ra[0].get("cached"), Some(&Json::Bool(false)));
+        assert_eq!(rb[0].get("cached"), Some(&Json::Bool(false)));
+        assert_eq!(payload(&ra[0]), payload(&rb[0]));
+        assert_eq!(svc.simulations(), 1, "the memo keeps one result");
+        drop(svc);
+        let text = std::fs::read_to_string(&journal).expect("journal");
+        assert_eq!(text.lines().count(), 2, "a header and one record:\n{text}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn open_shards_stay_capped_and_evicted_shards_answer_bit_identically() {
+        let dir = scratch_dir("shard-cap");
+        let mut opts = tiny_opts();
+        opts.journal_base = Some(dir.join("serve.jsonl"));
+        let mut svc = Service::new(opts);
+        let mut plain = Service::new(tiny_opts());
+        let n = MAX_OPEN_SHARDS + 4;
+        let line = |seed: usize| {
+            run_line(&format!("s{seed}"), "barnes", "shared", &format!(r#","seed":{seed}"#))
+        };
+        let mut first = Vec::new();
+        for seed in 0..n {
+            svc.handle_line(&line(seed));
+            let resp = svc.process_ready();
+            assert_eq!(types(&resp), ["result"]);
+            first.push(payload(&resp[0]));
+            assert!(svc.open_shards() <= MAX_OPEN_SHARDS, "{} open", svc.open_shards());
+            plain.handle_line(&line(seed));
+            assert_eq!(payload(&plain.process_ready()[0]), first[seed]);
+        }
+        assert_eq!((svc.simulations(), plain.simulations()), (n, n));
+        // The first seeds were closed; a repeat reopens the journal and
+        // is answered from it.
+        for (seed, want) in first.iter().enumerate().take(4) {
+            svc.handle_line(&line(seed));
+            let resp = svc.process_ready();
+            assert_eq!(resp[0].get("cached"), Some(&Json::Bool(true)), "seed {seed}");
+            assert_eq!(&payload(&resp[0]), want, "seed {seed}");
+            // Without a journal the closed shard is forgotten and its
+            // repeat simulates again, to the same bytes.
+            plain.handle_line(&line(seed));
+            let resp = plain.process_ready();
+            assert_eq!(resp[0].get("cached"), Some(&Json::Bool(false)), "seed {seed}");
+            assert_eq!(&payload(&resp[0]), want, "seed {seed}");
+        }
+        assert!(svc.open_shards() <= MAX_OPEN_SHARDS);
+        assert_eq!(svc.simulations(), n, "closing shards keeps the simulation total");
+        assert_eq!(svc.restored(), 0, "reading back this life's own records is no restore");
+        assert_eq!(plain.simulations(), n + 4);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Waits (bounded) until some round is between plan and commit.
+    fn await_in_flight(shared: &SharedService) {
+        let start = Instant::now();
+        while shared.lock().in_flight() == 0 {
+            assert!(start.elapsed() < Duration::from_secs(10), "no round went in flight");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    fn stall_first_job(millis: u64) -> Option<ChaosSchedule> {
+        Some(ChaosSchedule::new(vec![cmp_audit::ChaosSpec {
+            job: 0,
+            event: cmp_audit::ChaosEvent::JobStall { millis },
+        }]))
+    }
+
+    #[test]
+    fn drain_waits_for_in_flight_rounds_and_counts_them() {
+        let dir = scratch_dir("drain-wait");
+        let mut opts = tiny_opts();
+        opts.journal_base = Some(dir.join("serve.jsonl"));
+        // The stall keeps a's round in flight while b asks to drain.
+        opts.chaos = stall_first_job(300);
+        let shared = std::sync::Arc::new(SharedService::new(Service::new(opts.clone())));
+        let a = shared.caller();
+        let worker = {
+            let shared = std::sync::Arc::clone(&shared);
+            std::thread::spawn(move || shared.answer(a, &[run_line("a", "barnes", "shared", "")]))
+        };
+        await_in_flight(&shared);
+        let b = shared.caller();
+        let drained = shared.answer(b, &[r#"{"type":"drain","id":"d"}"#]);
+        let answered = worker.join().expect("caller a");
+        assert_eq!(types(&answered), ["result"]);
+        assert_eq!(types(&drained), ["drained"]);
+        let summary = &drained[0];
+        assert_eq!(summary.get("id").and_then(Json::as_str), Some("d"));
+        assert_eq!(summary.get("completed").and_then(Json::as_f64), Some(1.0), "{summary}");
+        assert_eq!(summary.get("journal-synced"), Some(&Json::Bool(true)));
+        // The committed record is durable: a restart restores it.
+        opts.chaos = None;
+        let restarted = Service::new(opts);
+        let mut restarted = restarted;
+        restarted.handle_line(&run_line("r", "barnes", "shared", ""));
+        let resp = restarted.process_ready();
+        assert_eq!(resp[0].get("cached"), Some(&Json::Bool(true)));
+        assert_eq!(payload(&resp[0]), payload(&answered[0]));
+        assert_eq!(restarted.restored(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn deadline_fencing_holds_beside_a_concurrent_round() {
+        let mut opts = tiny_opts();
+        // a's job stalls past its 50 ms deadline; the pool cuts it.
+        opts.chaos = stall_first_job(2_000);
+        let shared = std::sync::Arc::new(SharedService::new(Service::new(opts)));
+        let (a, b) = (shared.caller(), shared.caller());
+        let worker = {
+            let shared = std::sync::Arc::clone(&shared);
+            let line = run_line("late", "barnes", "shared", r#","deadline-ms":50"#);
+            std::thread::spawn(move || shared.answer(a, &[line]))
+        };
+        await_in_flight(&shared);
+        let other = shared.answer(b, &[run_line("b", "ocean", "private", "")]);
+        assert_eq!(types(&other), ["result"], "b is not held behind a's stalled round");
+        let late = worker.join().expect("caller a");
+        assert_eq!(types(&late), ["error"]);
+        assert_eq!(late[0].get("kind").and_then(Json::as_str), Some("deadline-expired"));
+        // Fenced: nothing of the cut run reached the cache.
+        let again = shared.answer(b, &[run_line("again", "barnes", "shared", "")]);
+        assert_eq!(again[0].get("cached"), Some(&Json::Bool(false)));
+        let svc = shared.lock();
+        assert_eq!((svc.stats().deadline_expired, svc.simulations()), (1, 2));
     }
 }
