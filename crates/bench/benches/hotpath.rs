@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use cmp_cache::lru::LruOrder;
+use cmp_cache::lru::LruSets;
 use cmp_cache::TagArray;
 use cmp_mem::{BlockAddr, CacheGeometry, Rng, Zipf};
 use cmp_sim::{build_org, OrgKind, System};
@@ -54,12 +54,12 @@ fn bench_tag_array(c: &mut Criterion) {
 
 fn bench_lru_touch(c: &mut Criterion) {
     c.bench_function("hotpath_lru_touch", |b| {
-        let mut lru = LruOrder::new(16);
+        let mut lru = LruSets::new(1, 16);
         let mut k = 0u64;
         b.iter(|| {
             k = k.wrapping_mul(6364136223846793005).wrapping_add(1);
-            lru.touch((k % 16) as usize);
-            black_box(lru.least_recent())
+            lru.touch(0, (k % 16) as usize);
+            black_box(lru.least_recent(0))
         })
     });
 }

@@ -17,7 +17,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use cmp_bench::{figures, ok_or_exit, Json, Lab, ResultSource, WorkloadId};
-use cmp_cache::lru::LruOrder;
+use cmp_cache::lru::LruSets;
 use cmp_cache::{TagArray, UniformShared};
 use cmp_latency::LatencyBook;
 use cmp_mem::{AccessKind, BlockAddr, CacheGeometry, CoreId, Rng, Zipf};
@@ -228,14 +228,14 @@ fn microbenches() -> Json {
     );
 
     // Packed LRU: touch over a cycling way pattern at 16 ways.
-    let mut lru = LruOrder::new(16);
+    let mut lru = LruSets::new(1, 16);
     let mut k = 0u64;
     out.set(
         "lru_touch_ns",
         Json::Num(ns_per_op(4_000_000, || {
             k = k.wrapping_mul(6364136223846793005).wrapping_add(1);
-            lru.touch((k % 16) as usize);
-            black_box(lru.least_recent());
+            lru.touch(0, (k % 16) as usize);
+            black_box(lru.least_recent(0));
         })),
     );
 

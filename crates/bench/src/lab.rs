@@ -347,6 +347,19 @@ impl Lab {
         self.cache.get(&pair)
     }
 
+    /// Caches results this lab's owner already holds — computed or
+    /// restored by an earlier life of the lab — without journaling
+    /// them or counting them as simulations or restores.
+    pub fn remember(&mut self, results: impl IntoIterator<Item = (Pair, RunResult)>) {
+        self.cache.extend(results);
+    }
+
+    /// Closes the lab (its journal, if any, is synced on drop) and
+    /// returns every cached result, in no particular order.
+    pub fn into_results(self) -> Vec<(Pair, RunResult)> {
+        self.cache.into_iter().collect()
+    }
+
     /// Caches a result computed on this lab's behalf — by the calling
     /// thread, a pool worker, or a shard process — journaling it
     /// first. Counts as a simulation.

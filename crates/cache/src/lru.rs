@@ -1,11 +1,17 @@
-//! True-LRU recency tracking for one cache set.
+//! True-LRU recency tracking for cache sets.
 //!
-//! Stored as a *rank vector* packed into byte lanes of four `u64`
-//! words: lane `w` holds way `w`'s recency rank (0 = LRU,
+//! Each set's recency is a *rank vector* packed into byte lanes of
+//! `u64` words: lane `w` holds way `w`'s recency rank (0 = LRU,
 //! `ways-1` = MRU). `touch` and `demote` adjust every affected lane
 //! at once with SWAR arithmetic — a handful of register ops instead
 //! of the `Vec<u8>` remove/insert (two linear scans plus a memmove)
 //! this structure used before, on every access of every cache level.
+//!
+//! [`LruSets`] stores the rank vectors of a whole tag array in one
+//! flat `Vec<u64>`, `ceil(ways / 8)` words per set, with the mask of
+//! lanes backing real ways kept once for the array. Up to 8 ways a
+//! set costs one word: 4 B per slot at 2 ways, 1 B at 8 ways (a
+//! self-contained per-set order with its own mask cost 72 B).
 
 /// Byte-lane MSBs, the carry-free comparison bit of each lane.
 const LANE_MSB: u64 = 0x8080_8080_8080_8080;
@@ -13,7 +19,8 @@ const LANE_MSB: u64 = 0x8080_8080_8080_8080;
 /// Lanes per word (byte lanes in a `u64`).
 const LANES: usize = 8;
 
-/// Words backing the rank vector; `LANES * WORDS` = 32 ways maximum.
+/// Most words in one set's rank vector; `LANES * WORDS` = 32 ways
+/// maximum.
 const WORDS: usize = 4;
 
 /// Broadcasts a byte into every lane of a word.
@@ -32,8 +39,9 @@ fn lanes_ge(x: u64, y: u8) -> u64 {
     ((x | LANE_MSB) - bcast(y)) & LANE_MSB
 }
 
-/// Recency order over the ways of one set: rank 0 is the least
-/// recently used way, rank `ways-1` the most recently used.
+/// Recency orders of `sets` equal-associativity sets: rank 0 is a
+/// set's least recently used way, rank `ways-1` its most recently
+/// used.
 ///
 /// `O(1)` per operation (at most four word-ops regardless of
 /// associativity), supporting the paper's ≤ 32-way sets.
@@ -41,146 +49,169 @@ fn lanes_ge(x: u64, y: u8) -> u64 {
 /// # Example
 ///
 /// ```
-/// use cmp_cache::lru::LruOrder;
+/// use cmp_cache::lru::LruSets;
 ///
-/// let mut lru = LruOrder::new(4);
-/// lru.touch(2);
-/// assert_eq!(lru.most_recent(), 2);
-/// assert_ne!(lru.least_recent(), 2);
+/// let mut lru = LruSets::new(2, 4);
+/// lru.touch(1, 2);
+/// assert_eq!(lru.most_recent(1), 2);
+/// assert_eq!(lru.most_recent(0), 3, "other sets are untouched");
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LruOrder {
-    /// Byte lane `w` holds way `w`'s rank; lanes beyond `ways` stay 0
-    /// and are masked out of every update.
-    ranks: [u64; WORDS],
-    /// Per-word lane-MSB mask selecting the lanes that back real ways.
+pub struct LruSets {
+    /// `ranks[set * words + i]` is word `i` of `set`'s rank vector:
+    /// byte lane `w` of the set's words holds way `w`'s rank; lanes
+    /// beyond `ways` stay 0 and are masked out of every update.
+    ranks: Vec<u64>,
+    /// Per-word lane-MSB mask selecting the lanes that back real
+    /// ways, shared by every set.
     valid: [u64; WORDS],
-    /// Number of ways tracked.
+    /// Number of ways per set.
     ways: u8,
-    /// Words actually in use: `ceil(ways / 8)`.
+    /// Words per set: `ceil(ways / 8)`.
     words: u8,
 }
 
-impl LruOrder {
-    /// Creates an order over `ways` ways; initially way 0 is LRU.
+impl LruSets {
+    /// Creates `sets` orders over `ways` ways each; initially way 0
+    /// is every set's LRU way.
     ///
     /// # Panics
     ///
     /// Panics if `ways` is zero or exceeds 32.
-    pub fn new(ways: usize) -> Self {
+    pub fn new(sets: usize, ways: usize) -> Self {
         assert!(ways > 0 && ways <= LANES * WORDS, "ways must be in 1..=32");
-        let mut ranks = [0u64; WORDS];
+        let words = ways.div_ceil(LANES);
+        let mut initial = [0u64; WORDS];
         let mut valid = [0u64; WORDS];
         for w in 0..ways {
             // Way w starts at rank w, matching insertion order.
-            ranks[w / LANES] |= (w as u64) << (8 * (w % LANES));
+            initial[w / LANES] |= (w as u64) << (8 * (w % LANES));
             valid[w / LANES] |= 0x80 << (8 * (w % LANES));
         }
-        LruOrder { ranks, valid, ways: ways as u8, words: ways.div_ceil(LANES) as u8 }
+        LruSets {
+            ranks: initial[..words].repeat(sets),
+            valid,
+            ways: ways as u8,
+            words: words as u8,
+        }
     }
 
-    /// Number of ways tracked.
+    /// Number of ways per set.
     pub fn ways(&self) -> usize {
         self.ways as usize
     }
 
+    /// Number of sets tracked.
+    pub fn sets(&self) -> usize {
+        self.ranks.len() / self.words as usize
+    }
+
+    /// The words of `set`'s rank vector.
     #[inline]
-    fn lane(&self, way: usize) -> u8 {
-        (self.ranks[way / LANES] >> (8 * (way % LANES))) as u8
+    fn words_of(&mut self, set: usize) -> &mut [u64] {
+        let words = self.words as usize;
+        &mut self.ranks[set * words..(set + 1) * words]
     }
 
     #[inline]
-    fn set_lane(&mut self, way: usize, rank: u8) {
+    fn lane(&self, set: usize, way: usize) -> u8 {
+        (self.ranks[set * self.words as usize + way / LANES] >> (8 * (way % LANES))) as u8
+    }
+
+    #[inline]
+    fn set_lane(&mut self, set: usize, way: usize, rank: u8) {
         let shift = 8 * (way % LANES);
-        let word = &mut self.ranks[way / LANES];
+        let word = &mut self.words_of(set)[way / LANES];
         *word = (*word & !(0xFF << shift)) | ((rank as u64) << shift);
     }
 
     #[inline]
-    fn checked_rank(&self, way: usize) -> u8 {
+    fn checked_rank(&self, set: usize, way: usize) -> u8 {
         if way >= self.ways as usize {
             panic!("way {way} out of range for {}-way set", self.ways);
         }
-        self.lane(way)
+        self.lane(set, way)
     }
 
-    /// Marks `way` most recently used.
+    /// Marks `way` of `set` most recently used.
     ///
     /// Already-MRU ways return immediately — the common case for a
     /// core re-hitting the same block.
     ///
     /// # Panics
     ///
-    /// Panics if `way` is out of range.
+    /// Panics if `set` or `way` is out of range.
     #[inline]
-    pub fn touch(&mut self, way: usize) {
-        let old = self.checked_rank(way);
+    pub fn touch(&mut self, set: usize, way: usize) {
+        let old = self.checked_rank(set, way);
         let mru = self.ways - 1;
         if old == mru {
             return;
         }
         // Every way ranked above `old` slides down one; `way` takes MRU.
-        for i in 0..self.words as usize {
-            let above = lanes_ge(self.ranks[i], old + 1) & self.valid[i];
-            self.ranks[i] -= above >> 7;
+        let valid = self.valid;
+        for (word, valid) in self.words_of(set).iter_mut().zip(valid) {
+            let above = lanes_ge(*word, old + 1) & valid;
+            *word -= above >> 7;
         }
-        self.set_lane(way, mru);
+        self.set_lane(set, way, mru);
     }
 
-    /// Marks `way` least recently used (used when an entry is
-    /// invalidated, so the slot is preferred for the next fill).
+    /// Marks `way` of `set` least recently used (used when an entry
+    /// is invalidated, so the slot is preferred for the next fill).
     ///
     /// Already-LRU ways return immediately.
     ///
     /// # Panics
     ///
-    /// Panics if `way` is out of range.
+    /// Panics if `set` or `way` is out of range.
     #[inline]
-    pub fn demote(&mut self, way: usize) {
-        let old = self.checked_rank(way);
+    pub fn demote(&mut self, set: usize, way: usize) {
+        let old = self.checked_rank(set, way);
         if old == 0 {
             return;
         }
         // Every way ranked below `old` slides up one; `way` takes LRU.
-        for i in 0..self.words as usize {
-            let below = !lanes_ge(self.ranks[i], old) & LANE_MSB & self.valid[i];
-            self.ranks[i] += below >> 7;
+        let valid = self.valid;
+        for (word, valid) in self.words_of(set).iter_mut().zip(valid) {
+            let below = !lanes_ge(*word, old) & LANE_MSB & valid;
+            *word += below >> 7;
         }
-        self.set_lane(way, 0);
+        self.set_lane(set, way, 0);
     }
 
-    /// The least recently used way.
-    pub fn least_recent(&self) -> usize {
-        self.way_at_rank(0)
+    /// The least recently used way of `set`.
+    pub fn least_recent(&self, set: usize) -> usize {
+        self.way_at_rank(set, 0)
     }
 
-    /// The most recently used way.
-    pub fn most_recent(&self) -> usize {
-        self.way_at_rank(self.ways - 1)
+    /// The most recently used way of `set`.
+    pub fn most_recent(&self, set: usize) -> usize {
+        self.way_at_rank(set, self.ways - 1)
     }
 
-    /// Recency rank of `way`: 0 = LRU, `ways()-1` = MRU.
+    /// Recency rank of `way` in `set`: 0 = LRU, `ways()-1` = MRU.
     ///
     /// # Panics
     ///
-    /// Panics if `way` is out of range.
+    /// Panics if `set` or `way` is out of range.
     #[inline]
-    pub fn rank(&self, way: usize) -> usize {
-        self.checked_rank(way) as usize
+    pub fn rank(&self, set: usize, way: usize) -> usize {
+        self.checked_rank(set, way) as usize
     }
 
-    /// Ways in recency order, LRU first.
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+    /// The ways of `set` in recency order, LRU first.
+    pub fn iter(&self, set: usize) -> impl Iterator<Item = usize> + '_ {
         let mut by_rank = [0u8; LANES * WORDS];
         for w in 0..self.ways as usize {
-            by_rank[self.lane(w) as usize] = w as u8;
+            by_rank[self.lane(set, w) as usize] = w as u8;
         }
         (0..self.ways as usize).map(move |r| by_rank[r] as usize)
     }
 
-    fn way_at_rank(&self, rank: u8) -> usize {
+    fn way_at_rank(&self, set: usize, rank: u8) -> usize {
         (0..self.ways as usize)
-            .find(|&w| self.lane(w) == rank)
+            .find(|&w| self.lane(set, w) == rank)
             .expect("ranks form a permutation of the ways")
     }
 }
@@ -191,111 +222,111 @@ mod tests {
 
     #[test]
     fn touch_moves_to_mru() {
-        let mut lru = LruOrder::new(4);
-        lru.touch(1);
-        lru.touch(3);
-        assert_eq!(lru.most_recent(), 3);
-        assert_eq!(lru.least_recent(), 0);
-        assert_eq!(lru.rank(1), 2);
+        let mut lru = LruSets::new(1, 4);
+        lru.touch(0, 1);
+        lru.touch(0, 3);
+        assert_eq!(lru.most_recent(0), 3);
+        assert_eq!(lru.least_recent(0), 0);
+        assert_eq!(lru.rank(0, 1), 2);
     }
 
     #[test]
     fn demote_moves_to_lru() {
-        let mut lru = LruOrder::new(4);
-        lru.touch(0); // order now 1,2,3,0
-        lru.demote(3);
-        assert_eq!(lru.least_recent(), 3);
+        let mut lru = LruSets::new(1, 4);
+        lru.touch(0, 0); // order now 1,2,3,0
+        lru.demote(0, 3);
+        assert_eq!(lru.least_recent(0), 3);
     }
 
     #[test]
     fn repeated_touches_keep_order_consistent() {
-        let mut lru = LruOrder::new(3);
+        let mut lru = LruSets::new(1, 3);
         for w in [0, 1, 2, 0, 1, 0] {
-            lru.touch(w);
+            lru.touch(0, w);
         }
         // Recency: 2 (oldest), 1, 0 (newest).
-        assert_eq!(lru.iter().collect::<Vec<_>>(), vec![2, 1, 0]);
+        assert_eq!(lru.iter(0).collect::<Vec<_>>(), vec![2, 1, 0]);
     }
 
     #[test]
     fn single_way_set() {
-        let mut lru = LruOrder::new(1);
-        lru.touch(0);
-        assert_eq!(lru.least_recent(), 0);
-        assert_eq!(lru.most_recent(), 0);
+        let mut lru = LruSets::new(1, 1);
+        lru.touch(0, 0);
+        assert_eq!(lru.least_recent(0), 0);
+        assert_eq!(lru.most_recent(0), 0);
     }
 
     #[test]
     fn all_ways_present_exactly_once() {
-        let mut lru = LruOrder::new(8);
+        let mut lru = LruSets::new(1, 8);
         for w in [5, 2, 7, 2, 5] {
-            lru.touch(w);
+            lru.touch(0, w);
         }
-        let mut ws: Vec<_> = lru.iter().collect();
+        let mut ws: Vec<_> = lru.iter(0).collect();
         ws.sort_unstable();
         assert_eq!(ws, (0..8).collect::<Vec<_>>());
     }
 
     #[test]
     fn full_width_32_way_set() {
-        let mut lru = LruOrder::new(32);
+        let mut lru = LruSets::new(1, 32);
         for w in (0..32).rev() {
-            lru.touch(w);
+            lru.touch(0, w);
         }
         // Touched 31, 30, ..., 0: way 31 is now LRU, way 0 MRU.
-        assert_eq!(lru.iter().collect::<Vec<_>>(), (0..32).rev().collect::<Vec<_>>());
-        assert_eq!(lru.least_recent(), 31);
-        assert_eq!(lru.most_recent(), 0);
+        assert_eq!(lru.iter(0).collect::<Vec<_>>(), (0..32).rev().collect::<Vec<_>>());
+        assert_eq!(lru.least_recent(0), 31);
+        assert_eq!(lru.most_recent(0), 0);
     }
 
     #[test]
     fn touch_of_mru_way_is_a_noop() {
-        let mut lru = LruOrder::new(4);
-        lru.touch(2);
+        let mut lru = LruSets::new(1, 4);
+        lru.touch(0, 2);
         let before = lru.clone();
-        lru.touch(2); // already MRU: early return
+        lru.touch(0, 2); // already MRU: early return
         assert_eq!(lru, before);
-        assert_eq!(lru.iter().collect::<Vec<_>>(), vec![0, 1, 3, 2]);
+        assert_eq!(lru.iter(0).collect::<Vec<_>>(), vec![0, 1, 3, 2]);
     }
 
     #[test]
     fn demote_of_lru_way_is_a_noop() {
-        let mut lru = LruOrder::new(4);
-        lru.touch(0); // order now 1,2,3,0
+        let mut lru = LruSets::new(1, 4);
+        lru.touch(0, 0); // order now 1,2,3,0
         let before = lru.clone();
-        lru.demote(1); // already LRU: early return
+        lru.demote(0, 1); // already LRU: early return
         assert_eq!(lru, before);
-        assert_eq!(lru.iter().collect::<Vec<_>>(), vec![1, 2, 3, 0]);
+        assert_eq!(lru.iter(0).collect::<Vec<_>>(), vec![1, 2, 3, 0]);
     }
 
     #[test]
     fn interleaved_touch_demote_pin_exact_order() {
-        let mut lru = LruOrder::new(5);
-        lru.touch(3); // 0,1,2,4,3
-        lru.demote(2); // 2,0,1,4,3
-        lru.touch(0); // 2,1,4,3,0
-        lru.demote(3); // 3,2,1,4,0
-        assert_eq!(lru.iter().collect::<Vec<_>>(), vec![3, 2, 1, 4, 0]);
-        assert_eq!(lru.rank(4), 3);
-        assert_eq!(lru.least_recent(), 3);
-        assert_eq!(lru.most_recent(), 0);
+        let mut lru = LruSets::new(1, 5);
+        lru.touch(0, 3); // 0,1,2,4,3
+        lru.demote(0, 2); // 2,0,1,4,3
+        lru.touch(0, 0); // 2,1,4,3,0
+        lru.demote(0, 3); // 3,2,1,4,0
+        assert_eq!(lru.iter(0).collect::<Vec<_>>(), vec![3, 2, 1, 4, 0]);
+        assert_eq!(lru.rank(0, 4), 3);
+        assert_eq!(lru.least_recent(0), 3);
+        assert_eq!(lru.most_recent(0), 0);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn touch_rejects_bad_way() {
-        LruOrder::new(2).touch(5);
+        LruSets::new(1, 2).touch(0, 5);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn rank_rejects_bad_way() {
-        let _ = LruOrder::new(3).rank(3);
+        let _ = LruSets::new(1, 3).rank(0, 3);
     }
 
     #[test]
     #[should_panic(expected = "1..=32")]
     fn rejects_oversized_sets() {
-        let _ = LruOrder::new(33);
+        let _ = LruSets::new(1, 33);
     }
 }

@@ -9,14 +9,16 @@
 //! invalid → private → shared category order for CMP-NuRAPID
 //! (Section 3.3.2).
 //!
-//! Storage is flat: one contiguous sentinel-tagged `Vec<u64>` of raw
-//! tags (scanned by [`TagArray::lookup`] without touching payloads),
-//! one flat entry vector, one packed [`LruOrder`] per set, and a
-//! maintained occupancy counter so [`TagArray::len`] is `O(1)`.
+//! Storage is flat and holds each slot's state once: one contiguous
+//! sentinel-tagged `Vec<u64>` of raw tags (scanned by
+//! [`TagArray::lookup`] without touching payloads, and the only copy
+//! of each tag), one flat payload vector, the packed recency ranks of
+//! every set in one [`LruSets`], and a maintained occupancy counter so
+//! [`TagArray::len`] is `O(1)`.
 
 use cmp_mem::{BlockAddr, CacheGeometry};
 
-use crate::lru::LruOrder;
+use crate::lru::LruSets;
 
 /// Tag value marking a vacant slot in the flat tag vector. [`fill`]
 /// rejects real tags equal to it, so a lookup can never falsely match
@@ -25,10 +27,9 @@ use crate::lru::LruOrder;
 /// [`fill`]: TagArray::fill
 const EMPTY_TAG: u64 = u64::MAX;
 
-/// One resident tag entry.
+/// One resident tag entry (its tag lives in the array's tag vector).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Entry<P> {
-    tag: u64,
     /// Organization-specific state (coherence state, pointers, reuse
     /// counters, ...).
     pub payload: P,
@@ -57,8 +58,8 @@ pub struct TagArray<P> {
     /// Entry storage, parallel to `tags`: occupied exactly where the
     /// tag is not [`EMPTY_TAG`].
     entries: Vec<Option<Entry<P>>>,
-    /// Recency order per set.
-    lru: Vec<LruOrder>,
+    /// Recency order of every set.
+    lru: LruSets,
     /// Occupied-slot count, maintained by `fill`/`evict`.
     occupied: usize,
 }
@@ -72,7 +73,7 @@ impl<P> TagArray<P> {
             ways: geom.associativity(),
             tags: vec![EMPTY_TAG; slots],
             entries: (0..slots).map(|_| None).collect(),
-            lru: (0..geom.num_sets()).map(|_| LruOrder::new(geom.associativity())).collect(),
+            lru: LruSets::new(geom.num_sets(), geom.associativity()),
             occupied: 0,
         }
     }
@@ -114,7 +115,7 @@ impl<P> TagArray<P> {
         let set = self.geom.set_of(block);
         let base = set * self.ways;
         let way = self.tags[base..base + self.ways].iter().position(|&t| t == tag)?;
-        self.lru[set].touch(way);
+        self.lru.touch(set, way);
         Some((set, way))
     }
 
@@ -132,19 +133,20 @@ impl<P> TagArray<P> {
 
     /// Block address stored at (`set`, `way`), if occupied.
     pub fn block_at(&self, set: usize, way: usize) -> Option<BlockAddr> {
-        self.entries[set * self.ways + way].as_ref().map(|e| self.geom.block_of(e.tag, set))
+        let tag = self.tags[set * self.ways + way];
+        (tag != EMPTY_TAG).then(|| self.geom.block_of(tag, set))
     }
 
     /// Marks (`set`, `way`) most recently used.
     #[inline]
     pub fn touch(&mut self, set: usize, way: usize) {
-        self.lru[set].touch(way);
+        self.lru.touch(set, way);
     }
 
     /// Recency rank of a way within its set (0 = LRU).
     #[inline]
     pub fn recency_rank(&self, set: usize, way: usize) -> usize {
-        self.lru[set].rank(way)
+        self.lru.rank(set, way)
     }
 
     /// Selects a victim way: the way minimizing `(rank_fn(entry),
@@ -157,10 +159,9 @@ impl<P> TagArray<P> {
         mut rank_fn: impl FnMut(Option<&Entry<P>>) -> u32,
     ) -> usize {
         let base = set * self.ways;
-        let lru = &self.lru[set];
         let mut best = (u32::MAX, usize::MAX, 0usize);
         for way in 0..self.ways {
-            let key = (rank_fn(self.entries[base + way].as_ref()), lru.rank(way), way);
+            let key = (rank_fn(self.entries[base + way].as_ref()), self.lru.rank(set, way), way);
             if (key.0, key.1) < (best.0, best.1) {
                 best = key;
             }
@@ -172,13 +173,11 @@ impl<P> TagArray<P> {
     /// its block address; the slot becomes the set's LRU way.
     pub fn evict(&mut self, set: usize, way: usize) -> Option<(BlockAddr, P)> {
         let idx = set * self.ways + way;
-        let taken = self.entries[idx].take();
-        self.lru[set].demote(way);
-        if taken.is_some() {
-            self.tags[idx] = EMPTY_TAG;
-            self.occupied -= 1;
-        }
-        taken.map(|e| (self.geom.block_of(e.tag, set), e.payload))
+        self.lru.demote(set, way);
+        let taken = self.entries[idx].take()?;
+        let tag = std::mem::replace(&mut self.tags[idx], EMPTY_TAG);
+        self.occupied -= 1;
+        Some((self.geom.block_of(tag, set), taken.payload))
     }
 
     /// Installs `block` at (`set`, `way`) and marks it MRU.
@@ -195,25 +194,27 @@ impl<P> TagArray<P> {
         let idx = set * self.ways + way;
         let slot = &mut self.entries[idx];
         assert!(slot.is_none(), "fill into occupied way; evict first");
-        *slot = Some(Entry { tag, payload });
+        *slot = Some(Entry { payload });
         self.tags[idx] = tag;
         self.occupied += 1;
-        self.lru[set].touch(way);
+        self.lru.touch(set, way);
     }
 
     /// Iterates over occupied entries of one set as `(way, block,
     /// &payload)`.
     pub fn iter_set(&self, set: usize) -> impl Iterator<Item = (usize, BlockAddr, &P)> + '_ {
         let base = set * self.ways;
-        self.entries[base..base + self.ways].iter().enumerate().filter_map(move |(way, slot)| {
-            slot.as_ref().map(|e| (way, self.geom.block_of(e.tag, set), &e.payload))
+        let slots =
+            self.tags[base..base + self.ways].iter().zip(&self.entries[base..base + self.ways]);
+        slots.enumerate().filter_map(move |(way, (&tag, slot))| {
+            slot.as_ref().map(|e| (way, self.geom.block_of(tag, set), &e.payload))
         })
     }
 
     /// Iterates over all occupied entries as `(set, way, block,
     /// &payload)`.
     pub fn iter_all(&self) -> impl Iterator<Item = (usize, usize, BlockAddr, &P)> + '_ {
-        (0..self.lru.len()).flat_map(move |set| {
+        (0..self.geom.num_sets()).flat_map(move |set| {
             self.iter_set(set).map(move |(way, block, p)| (set, way, block, p))
         })
     }

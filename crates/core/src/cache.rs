@@ -51,6 +51,9 @@ pub struct CmpNurapid {
     /// demotion chain's random victim choice — the functional analogue
     /// of Section 3.1's busy bits.
     pub(crate) busy: Vec<FrameRef>,
+    /// Reusable scratch of [`CmpNurapid::for_other_holders`], so
+    /// walking a block's sharers never allocates.
+    holders: Vec<(CoreId, usize, usize)>,
 }
 
 impl CmpNurapid {
@@ -75,6 +78,7 @@ impl CmpNurapid {
             rng: Rng::new(cfg.seed),
             stats: OrgStats::default(),
             busy: Vec::with_capacity(4),
+            holders: Vec::with_capacity(cfg.cores),
             cfg,
         }
     }
@@ -193,17 +197,33 @@ impl CmpNurapid {
         sig
     }
 
-    /// All cores (other than `requestor`) holding a valid tag entry
-    /// for `block`, as `(core, set, way)`.
-    pub(crate) fn other_holders(
-        &self,
+    /// Whether any core other than `requestor` holds a tag entry for
+    /// `block`.
+    fn has_other_holder(&self, requestor: CoreId, block: BlockAddr) -> bool {
+        CoreId::all(self.cfg.cores).any(|c| c != requestor && self.lookup(c, block).is_some())
+    }
+
+    /// Calls `f` with `(core, set, way)` for every core other than
+    /// `requestor` holding a tag entry for `block`, in core order.
+    /// The holders are gathered before the first call, so `f` may
+    /// change the tag arrays.
+    fn for_other_holders(
+        &mut self,
         requestor: CoreId,
         block: BlockAddr,
-    ) -> Vec<(CoreId, usize, usize)> {
-        CoreId::all(self.cfg.cores)
-            .filter(|c| *c != requestor)
-            .filter_map(|c| self.lookup(c, block).map(|(s, w)| (c, s, w)))
-            .collect()
+        mut f: impl FnMut(&mut Self, CoreId, usize, usize),
+    ) {
+        let mut holders = std::mem::take(&mut self.holders);
+        holders.clear();
+        holders.extend(
+            CoreId::all(self.cfg.cores)
+                .filter(|c| *c != requestor)
+                .filter_map(|c| self.lookup(c, block).map(|(s, w)| (c, s, w))),
+        );
+        for &(c, s, w) in &holders {
+            f(self, c, s, w);
+        }
+        self.holders = holders;
     }
 
     /// The data copy of `block` cheapest for `requestor` to reach
@@ -244,7 +264,7 @@ impl CmpNurapid {
         // sole remaining holder is necessarily the frame's owner.
         if self.cfg.c_collapse
             && state == MesicState::Communication
-            && self.other_holders(core, block).is_empty()
+            && !self.has_other_holder(core, block)
         {
             state = MesicState::Modified;
             self.entry_mut(core, set, way).state = MesicState::Modified;
@@ -291,27 +311,27 @@ impl CmpNurapid {
                 let grant = bus.transact(BusTx::BusUpg, now);
                 resp.latency = self.tag_lat() + grant.stall_from(now) + self.dlat(core, fwd.group);
                 let my_tag = self.tag_ref(core, set, way);
-                for (c, s, w) in self.other_holders(core, block) {
-                    let their_fwd = self.entry(c, s, w).fwd;
-                    let their_tag = self.tag_ref(c, s, w);
+                self.for_other_holders(core, block, |this, c, s, w| {
+                    let their_fwd = this.entry(c, s, w).fwd;
+                    let their_tag = this.tag_ref(c, s, w);
                     // The frame may already be gone: several sharers
                     // can point at one copy whose owner was processed
                     // earlier in this loop.
-                    if self.data.is_occupied(their_fwd)
-                        && self.data.frame(their_fwd).owner == their_tag
+                    if this.data.is_occupied(their_fwd)
+                        && this.data.frame(their_fwd).owner == their_tag
                     {
                         if their_fwd == fwd {
                             // They owned the very copy I point at:
                             // take the frame over.
-                            self.data.set_owner(their_fwd, my_tag);
+                            this.data.set_owner(their_fwd, my_tag);
                         } else {
                             // A duplicate copy elsewhere: free it.
-                            self.data.free(their_fwd);
+                            this.data.free(their_fwd);
                         }
                     }
-                    self.tags[c.index()].evict(s, w);
+                    this.tags[c.index()].evict(s, w);
                     inv.push(c, block);
-                }
+                });
                 self.entry_mut(core, set, way).state = MesicState::Modified;
             }
             (MesicState::Communication, AccessKind::Read) => {}
@@ -320,9 +340,7 @@ impl CmpNurapid {
                 // other sharers drop stale L1 copies (their tags stay
                 // in C).
                 bus.post(BusTx::BusRdX, now);
-                for (c, _, _) in self.other_holders(core, block) {
-                    inv.push(c, block);
-                }
+                self.for_other_holders(core, block, |_, c, _, _| inv.push(c, block));
             }
             (MesicState::Invalid, _) => {
                 return Err(Violation::at(
@@ -379,14 +397,14 @@ impl CmpNurapid {
             resp.latency = self.tag_lat() + grant.stall_from(now) + self.dlat(core, src.group);
             if kind.is_write() {
                 // Join C writing the existing copy in place.
-                for (c, s, w) in self.other_holders(core, block) {
-                    let e = self.entry_mut(c, s, w);
+                self.for_other_holders(core, block, |this, c, s, w| {
+                    let e = this.entry_mut(c, s, w);
                     if e.state != MesicState::Communication {
                         count_c_join();
                     }
                     e.state = MesicState::Communication;
                     inv.push(c, block);
-                }
+                });
                 count_c_join();
                 self.tags[core.index()].fill(
                     set,
@@ -402,8 +420,8 @@ impl CmpNurapid {
                 debug_assert_eq!(contents.block, block);
                 self.ensure_free_frame(core, closest, bus, now, inv);
                 let nf = self.data.alloc(closest, block, my_tag);
-                for (c, s, w) in self.other_holders(core, block) {
-                    let e = self.entry_mut(c, s, w);
+                self.for_other_holders(core, block, |this, c, s, w| {
+                    let e = this.entry_mut(c, s, w);
                     if e.state != MesicState::Communication {
                         count_c_join();
                     }
@@ -412,7 +430,7 @@ impl CmpNurapid {
                     // Force the old holder's L1 to refill so its line
                     // adopts write-through C semantics.
                     inv.push(c, block);
-                }
+                });
                 count_c_join();
                 self.tags[core.index()].fill(
                     set,
@@ -430,13 +448,13 @@ impl CmpNurapid {
             // flushed to memory and demoted to S (keeping its frame);
             // the request then proceeds as clean sharing.
             resp.class = AccessClass::MissRws;
-            for (c, s, w) in self.other_holders(core, block) {
-                let e = self.entry_mut(c, s, w);
+            self.for_other_holders(core, block, |this, c, s, w| {
+                let e = this.entry_mut(c, s, w);
                 if e.state.is_dirty() {
                     e.state = MesicState::Shared;
-                    self.stats.writebacks += 1;
+                    this.stats.writebacks += 1;
                 }
-            }
+            });
             return self
                 .finish_clean_sharing_miss(core, block, kind, set, way, now, bus, resp, inv);
         }
@@ -492,18 +510,18 @@ impl CmpNurapid {
             // they owned are freed; the requestor takes its own copy.
             let grant = bus.transact(BusTx::BusRdX, now);
             resp.latency = self.tag_lat() + grant.stall_from(now) + src_lat;
-            for (c, s, w) in self.other_holders(core, block) {
-                let their_fwd = self.entry(c, s, w).fwd;
-                let their_tag = self.tag_ref(c, s, w);
+            self.for_other_holders(core, block, |this, c, s, w| {
+                let their_fwd = this.entry(c, s, w).fwd;
+                let their_tag = this.tag_ref(c, s, w);
                 // Guard against a copy already freed via its owner
                 // earlier in this loop.
-                if self.data.is_occupied(their_fwd) && self.data.frame(their_fwd).owner == their_tag
+                if this.data.is_occupied(their_fwd) && this.data.frame(their_fwd).owner == their_tag
                 {
-                    self.data.free(their_fwd);
+                    this.data.free(their_fwd);
                 }
-                self.tags[c.index()].evict(s, w);
+                this.tags[c.index()].evict(s, w);
                 inv.push(c, block);
-            }
+            });
             self.ensure_free_frame(core, closest, bus, now, inv);
             let nf = self.data.alloc(closest, block, my_tag);
             self.tags[core.index()].fill(
@@ -517,12 +535,12 @@ impl CmpNurapid {
         // Read: demote remote E holders to S.
         let grant = bus.transact(BusTx::BusRd, now);
         resp.latency = self.tag_lat() + grant.stall_from(now) + src_lat;
-        for (c, s, w) in self.other_holders(core, block) {
-            let e = self.entry_mut(c, s, w);
+        self.for_other_holders(core, block, |this, c, s, w| {
+            let e = this.entry_mut(c, s, w);
             if e.state == MesicState::Exclusive {
                 e.state = MesicState::Shared;
             }
-        }
+        });
         if self.cfg.controlled_replication {
             // CR first use: tag copy only, pointing at the existing
             // data (the pointer return of Figure 3b).

@@ -119,18 +119,16 @@ impl CmpNurapid {
         if self.data.has_free(target) {
             return;
         }
-        let order: Vec<usize> = self.ranking.order(core).to_vec();
+        let groups = self.ranking.order(core).len();
         let start = self.ranking.rank_of(core, target.index());
         // Natural termination: the earliest hole along the preference
         // path. If the whole path is full, pick a random stop.
-        let stop_rank = (start + 1..order.len())
-            .find(|&r| self.data.has_free(DGroupId(order[r] as u8)))
-            .unwrap_or_else(|| start + self.rng.gen_index(order.len() - start));
+        let stop_rank = (start + 1..groups)
+            .find(|&r| self.data.has_free(DGroupId(self.ranking.at(core, r) as u8)))
+            .unwrap_or_else(|| start + self.rng.gen_index(groups - start));
         let mut carried: Option<(BlockAddr, TagRef)> = None;
-        #[allow(clippy::needless_range_loop)]
-        // rank is semantic (preference rank), not just an index
         for rank in start..=stop_rank {
-            let g = DGroupId(order[rank] as u8);
+            let g = DGroupId(self.ranking.at(core, rank) as u8);
             if rank > start && self.data.has_free(g) {
                 // A hole: the demoted block lands here.
                 let (b, o) = carried.take().expect("a block is in flight past the first rank");

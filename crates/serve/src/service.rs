@@ -37,16 +37,20 @@
 //!   its own checkpoint journal; a restarted service resumes from
 //!   whatever the group-committed journal retained and serves those
 //!   pairs from cache.
-//! * **Bounded shards**: at most [`MAX_OPEN_SHARDS`] shard labs stay
-//!   open; the least recently used one is synced and closed, and a
-//!   later request for it reopens its journal.
+//! * **Bounded shards**: the cap bounds open journal files, not
+//!   results. At most [`MAX_OPEN_SHARDS`] shard labs stay open; the
+//!   least recently used one has its journal synced and closed, but
+//!   its results are kept, so the memo grows by one `RunResult` per
+//!   distinct pair served. A later repeat is a memo hit that reads
+//!   nothing back from the journal; a later miss reopens the shard and
+//!   its journal for append.
 //! * **Graceful drain** ([`Service::drain`], [`SharedService::drain`]):
 //!   the caller's still-queued jobs are shed with structured
 //!   responses, in-flight rounds commit, journals are fsynced, and a
 //!   summary response closes the stream.
 
 use std::collections::VecDeque;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -57,7 +61,7 @@ use cmp_bench::shard::{request_line, ShardOptions};
 use cmp_bench::sweep::Resilience;
 use cmp_bench::{BatchPlan, BatchSlot, JobError, Json, Lab, Pair, RanBatch};
 use cmp_obs::{Counter, Histogram};
-use cmp_sim::{RunConfig, SimError};
+use cmp_sim::{RunConfig, RunResult, SimError};
 
 use crate::request::{error_response, parse_line, JobSpec, Request};
 
@@ -268,21 +272,25 @@ fn shard_key(cfg: &RunConfig) -> ShardKey {
 
 /// Most shard labs a service keeps open. Every distinct run
 /// configuration (each request seed) is its own shard, and each open
-/// shard holds its memo cache and journal file; past the cap the least
-/// recently used shard is synced and closed, and a later request for
-/// it reopens its journal.
+/// shard holds its memo cache and journal file. The cap bounds the
+/// files, not the results: past it the least recently used shard's
+/// journal is synced and closed, and its results stay in the memo at
+/// one `RunResult` per distinct pair served. A repeat is answered
+/// from them; a miss reopens the shard's journal for append.
 pub const MAX_OPEN_SHARDS: usize = 64;
+
+/// The results a closed shard keeps: one per distinct pair it served.
+type Kept = Box<[(Pair, RunResult)]>;
 
 /// The serving core. See the module docs for the property list.
 pub struct Service {
     opts: ServeOptions,
     /// Open shard labs, least recently used first.
     labs: Vec<(ShardKey, Lab)>,
-    /// Journaled shards closed by the cap and not reopened since:
-    /// their journal records are this life's own, already counted.
-    evicted: HashSet<ShardKey>,
-    /// Simulations performed by labs the cap has closed.
-    retired_simulations: usize,
+    /// Results of the shards the cap has closed.
+    closed: HashMap<ShardKey, Kept>,
+    /// Simulations performed across every shard.
+    simulations: usize,
     /// Journal records read back at each shard's first open.
     restored: usize,
     queue: VecDeque<Queued>,
@@ -312,17 +320,24 @@ pub struct Planned {
 struct PlannedGroup {
     shard: ShardKey,
     jobs: Vec<Queued>,
-    batch: BatchPlan,
+    work: Work<BatchPlan>,
     /// The worker binary and options when the batch fans out to
     /// `cmp-shard-worker` processes instead of the in-process pool.
     sharded: Option<(PathBuf, ShardOptions)>,
+}
+
+/// How a group is answered: from a closed shard's kept results, or by
+/// a batch `B` (planned, then run) against its open lab.
+enum Work<B> {
+    Kept(Vec<BatchSlot>),
+    Batch(B),
 }
 
 /// [`Planned`] work whose simulations have run, ready for
 /// [`Service::commit`].
 pub struct Ran {
     early: Vec<Json>,
-    groups: Vec<(ShardKey, Vec<Queued>, RanBatch)>,
+    groups: Vec<(ShardKey, Vec<Queued>, Work<RanBatch>)>,
 }
 
 impl Planned {
@@ -338,11 +353,14 @@ impl Planned {
             .groups
             .into_iter()
             .map(|g| {
-                let ran = match &g.sharded {
-                    Some((worker, sopts)) => g.batch.run_sharded(worker, sopts),
-                    None => g.batch.run(),
+                let work = match (g.work, &g.sharded) {
+                    (Work::Kept(slots), _) => Work::Kept(slots),
+                    (Work::Batch(plan), Some((worker, sopts))) => {
+                        Work::Batch(plan.run_sharded(worker, sopts))
+                    }
+                    (Work::Batch(plan), None) => Work::Batch(plan.run()),
                 };
-                (g.shard, g.jobs, ran)
+                (g.shard, g.jobs, work)
             })
             .collect();
         Ran { early: self.early, groups }
@@ -356,8 +374,8 @@ impl Service {
         Service {
             opts,
             labs: Vec::new(),
-            evicted: HashSet::new(),
-            retired_simulations: 0,
+            closed: HashMap::new(),
+            simulations: 0,
             restored: 0,
             queue: VecDeque::new(),
             in_flight: 0,
@@ -405,11 +423,11 @@ impl Service {
     /// Total simulations actually performed across every shard,
     /// closed ones included.
     pub fn simulations(&self) -> usize {
-        self.retired_simulations + self.labs.iter().map(|(_, lab)| lab.simulations()).sum::<usize>()
+        self.simulations
     }
 
     /// Pairs restored from journals written before this service
-    /// started (a shard reopened after the cap closed it reads back
+    /// started (a shard reopened after the cap closed it already holds
     /// its own records, which are not counted again).
     pub fn restored(&self) -> usize {
         self.restored
@@ -542,6 +560,11 @@ impl Service {
     ) -> PlannedGroup {
         let cfg = jobs[0].spec.cfg;
         let pairs: Vec<Pair> = jobs.iter().map(|q| q.spec.pair).collect();
+        // A closed shard that kept every pair answers without
+        // reopening its journal.
+        if let Some(slots) = self.closed.get(&shard).and_then(|kept| kept_slots(kept, &pairs)) {
+            return PlannedGroup { shard, jobs, work: Work::Kept(slots), sharded: None };
+        }
         let sharded = self.sharded_runner(shard, cfg, &pairs);
         // Pool deadline: the tightest remaining budget in the group
         // (the group shares one requested deadline, so the jobs'
@@ -557,8 +580,8 @@ impl Service {
         let lab = self.lab_for(shard, cfg);
         lab.set_threads(max_concurrency.map_or(threads, |c| c.min(threads)));
         lab.set_resilience(Resilience { deadline, chaos });
-        let batch = lab.plan(&pairs);
-        PlannedGroup { shard, jobs, batch, sharded }
+        let plan = lab.plan(&pairs);
+        PlannedGroup { shard, jobs, work: Work::Batch(plan), sharded }
     }
 
     /// The OS-process sharded batch path applies with
@@ -598,9 +621,18 @@ impl Service {
     /// and answers every job of the plan.
     pub fn commit(&mut self, ran: Ran) -> Vec<Json> {
         let mut responses = ran.early;
-        for (shard, jobs, batch) in ran.groups {
+        for (shard, jobs, work) in ran.groups {
             self.in_flight = self.in_flight.saturating_sub(jobs.len());
-            let slots = self.lab_for(shard, jobs[0].spec.cfg).commit(batch);
+            let slots = match work {
+                Work::Kept(slots) => slots,
+                Work::Batch(batch) => {
+                    let lab = self.lab_for(shard, jobs[0].spec.cfg);
+                    let before = lab.simulations();
+                    let slots = lab.commit(batch);
+                    self.simulations += lab.simulations() - before;
+                    slots
+                }
+            };
             responses.extend(self.answer_group(jobs, slots));
         }
         responses
@@ -655,19 +687,21 @@ impl Service {
         responses
     }
 
-    /// The shard's lab, opened (or reopened from its journal) on
-    /// demand and marked most recently used; opening past
+    /// The shard's lab, opened (or reopened, with the results it
+    /// kept) on demand and marked most recently used; opening past
     /// [`MAX_OPEN_SHARDS`] closes the least recently used shard.
     fn lab_for(&mut self, shard: ShardKey, cfg: RunConfig) -> &mut Lab {
         match self.labs.iter().position(|(k, _)| *k == shard) {
             Some(i) => self.labs[i..].rotate_left(1),
             None => {
                 if self.labs.len() >= MAX_OPEN_SHARDS {
-                    self.evict_lru();
+                    self.close_lru();
                 }
-                let lab = self.build_lab(cfg);
-                if !self.evicted.remove(&shard) {
-                    self.restored += lab.restored();
+                let mut lab = self.build_lab(cfg);
+                match self.closed.remove(&shard) {
+                    // This life's own records: kept, so not restored.
+                    Some(kept) => lab.remember(kept.into_vec()),
+                    None => self.restored += lab.restored(),
                 }
                 self.labs.push((shard, lab));
             }
@@ -677,18 +711,15 @@ impl Service {
     }
 
     /// Closes the least recently used shard: its journal is synced
-    /// and its memo cache dropped; a batch planned against it still
-    /// commits, into the reopened lab.
-    fn evict_lru(&mut self) {
+    /// and closed, and its results are kept for later requests; a
+    /// batch planned against it still commits, into the reopened lab.
+    fn close_lru(&mut self) {
         let (shard, mut lab) = self.labs.remove(0);
         if let Err(e) = lab.sync_journal() {
             let msg = e.to_string();
             cmp_obs::warn!("journal sync failed closing a shard", error = msg);
         }
-        self.retired_simulations += lab.simulations();
-        if lab.journal_path().is_some() {
-            self.evicted.insert(shard);
-        }
+        self.closed.insert(shard, lab.into_results().into_boxed_slice());
     }
 
     /// Builds a shard's lab, degrading gracefully when its journal
@@ -922,7 +953,19 @@ pub fn shard_journal_path(base: &std::path::Path, cfg: &RunConfig) -> PathBuf {
     ))
 }
 
-fn result_response(spec: &JobSpec, result: &cmp_sim::RunResult, cached: bool) -> Json {
+/// Cached answers for every pair from a closed shard's kept results,
+/// or `None` when it lacks one of them.
+fn kept_slots(kept: &[(Pair, RunResult)], pairs: &[Pair]) -> Option<Vec<BatchSlot>> {
+    pairs
+        .iter()
+        .map(|pair| {
+            let (_, result) = kept.iter().find(|(k, _)| k == pair)?;
+            Some(BatchSlot::Done { result: Box::new(result.clone()), millis: None })
+        })
+        .collect()
+}
+
+fn result_response(spec: &JobSpec, result: &RunResult, cached: bool) -> Json {
     let mut resp = Json::obj();
     resp.set("type", Json::Str("result".into()));
     resp.set("id", spec.id.clone());
@@ -1250,46 +1293,65 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Journal records across every shard file under `dir`.
+    fn journal_records(dir: &Path) -> usize {
+        std::fs::read_dir(dir)
+            .expect("journal dir")
+            .map(|f| std::fs::read_to_string(f.expect("entry").path()).expect("journal"))
+            .map(|text| text.lines().count() - 1) // the header
+            .sum()
+    }
+
     #[test]
-    fn open_shards_stay_capped_and_evicted_shards_answer_bit_identically() {
+    fn open_shards_stay_capped_and_closed_shards_keep_their_results() {
         let dir = scratch_dir("shard-cap");
         let mut opts = tiny_opts();
         opts.journal_base = Some(dir.join("serve.jsonl"));
         let mut svc = Service::new(opts);
         let mut plain = Service::new(tiny_opts());
         let n = MAX_OPEN_SHARDS + 4;
-        let line = |seed: usize| {
-            run_line(&format!("s{seed}"), "barnes", "shared", &format!(r#","seed":{seed}"#))
+        let line = |seed: usize, org: &str| {
+            run_line(&format!("s{seed}"), "barnes", org, &format!(r#","seed":{seed}"#))
         };
         let mut first = Vec::new();
         for seed in 0..n {
-            svc.handle_line(&line(seed));
+            svc.handle_line(&line(seed, "shared"));
             let resp = svc.process_ready();
             assert_eq!(types(&resp), ["result"]);
             first.push(payload(&resp[0]));
             assert!(svc.open_shards() <= MAX_OPEN_SHARDS, "{} open", svc.open_shards());
-            plain.handle_line(&line(seed));
+            plain.handle_line(&line(seed, "shared"));
             assert_eq!(payload(&plain.process_ready()[0]), first[seed]);
         }
         assert_eq!((svc.simulations(), plain.simulations()), (n, n));
-        // The first seeds were closed; a repeat reopens the journal and
-        // is answered from it.
-        for (seed, want) in first.iter().enumerate().take(4) {
-            svc.handle_line(&line(seed));
-            let resp = svc.process_ready();
-            assert_eq!(resp[0].get("cached"), Some(&Json::Bool(true)), "seed {seed}");
-            assert_eq!(&payload(&resp[0]), want, "seed {seed}");
-            // Without a journal the closed shard is forgotten and its
-            // repeat simulates again, to the same bytes.
-            plain.handle_line(&line(seed));
-            let resp = plain.process_ready();
-            assert_eq!(resp[0].get("cached"), Some(&Json::Bool(false)), "seed {seed}");
-            assert_eq!(&payload(&resp[0]), want, "seed {seed}");
+        // The first seeds were closed. Their repeats are memo hits,
+        // with or without a journal, and reopen nothing.
+        let closed: Vec<ShardKey> = svc.closed.keys().copied().collect();
+        assert_eq!(closed.len(), n - MAX_OPEN_SHARDS);
+        for svc in [&mut svc, &mut plain] {
+            for (seed, want) in first.iter().enumerate().take(4) {
+                svc.handle_line(&line(seed, "shared"));
+                let resp = svc.process_ready();
+                assert_eq!(resp[0].get("cached"), Some(&Json::Bool(true)), "seed {seed}");
+                assert_eq!(&payload(&resp[0]), want, "seed {seed}");
+            }
+            assert_eq!(svc.simulations(), n, "a repeat never simulates");
+            assert!(svc.labs.iter().all(|(k, _)| !closed.contains(k)), "a hit reopened a shard");
         }
+        assert_eq!(svc.restored(), 0, "a journaled repeat reads nothing back");
+        assert_eq!(journal_records(&dir), n);
+        // A miss on a closed shard reopens its journal for append and
+        // keeps the shard's earlier result a memo hit.
+        svc.handle_line(&line(0, "private"));
+        assert_eq!(svc.process_ready()[0].get("cached"), Some(&Json::Bool(false)));
+        svc.handle_line(&line(0, "shared"));
+        let resp = svc.process_ready();
+        assert_eq!(resp[0].get("cached"), Some(&Json::Bool(true)));
+        assert_eq!(payload(&resp[0]), first[0]);
         assert!(svc.open_shards() <= MAX_OPEN_SHARDS);
-        assert_eq!(svc.simulations(), n, "closing shards keeps the simulation total");
-        assert_eq!(svc.restored(), 0, "reading back this life's own records is no restore");
-        assert_eq!(plain.simulations(), n + 4);
+        assert_eq!((svc.simulations(), svc.restored()), (n + 1, 0));
+        drop(svc);
+        assert_eq!(journal_records(&dir), n + 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -108,6 +108,8 @@ pub struct System<W, O = Box<dyn CacheOrg>> {
     workload: W,
     org: O,
     l1d: Vec<L1Cache>,
+    /// Per-core L1 I-caches, built by
+    /// [`System::enable_instruction_fetch`]; empty until then.
     l1i: Vec<L1Cache>,
     ifetch: Vec<Option<IFetch>>,
     bus: Bus,
@@ -141,7 +143,7 @@ impl<W: TraceSource, O: CacheOrg> System<W, O> {
             workload,
             org,
             l1d: (0..n).map(|_| L1Cache::paper()).collect(),
-            l1i: (0..n).map(|_| L1Cache::paper()).collect(),
+            l1i: Vec::new(),
             ifetch: (0..n).map(|_| None).collect(),
             bus,
             cores: vec![CoreState::default(); n],
@@ -158,6 +160,9 @@ impl<W: TraceSource, O: CacheOrg> System<W, O> {
     ///
     /// Returns whether the workload models code at all.
     pub fn enable_instruction_fetch(&mut self, seed: u64) -> bool {
+        if self.l1i.is_empty() {
+            self.l1i = (0..self.cores.len()).map(|_| L1Cache::paper()).collect();
+        }
         let mut any = false;
         for c in CoreId::all(self.cores.len()) {
             if let Some((base, bytes, jump_prob)) = self.workload.code_region(c) {

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use nurapid_suite::cache::{lru::LruOrder, CacheOrg, TagArray};
+use nurapid_suite::cache::{lru::LruSets, CacheOrg, TagArray};
 use nurapid_suite::coherence::{mesic, Bus, BusTx};
 use nurapid_suite::mem::{AccessKind, Addr, BlockAddr, CacheGeometry, CoreId, Rng, Zipf};
 use nurapid_suite::nurapid::{CmpNurapid, DGroupId, DataArray, NurapidConfig, TagRef};
@@ -13,15 +13,15 @@ use nurapid_suite::nurapid::{CmpNurapid, DGroupId, DataArray, NurapidConfig, Tag
 proptest! {
     #[test]
     fn lru_matches_reference_model(ops in proptest::collection::vec(0usize..4, 1..200)) {
-        let mut lru = LruOrder::new(4);
+        let mut lru = LruSets::new(1, 4);
         let mut model: Vec<usize> = (0..4).collect(); // front = LRU
         for way in ops {
-            lru.touch(way);
+            lru.touch(0, way);
             model.retain(|w| *w != way);
             model.push(way);
-            prop_assert_eq!(lru.least_recent(), model[0]);
-            prop_assert_eq!(lru.most_recent(), *model.last().expect("nonempty"));
-            let order: Vec<usize> = lru.iter().collect();
+            prop_assert_eq!(lru.least_recent(0), model[0]);
+            prop_assert_eq!(lru.most_recent(0), *model.last().expect("nonempty"));
+            let order: Vec<usize> = lru.iter(0).collect();
             prop_assert_eq!(&order, &model);
         }
     }
