@@ -6,7 +6,7 @@
 //! `cargo bench` both exercises every experiment end-to-end and
 //! tracks the simulator's throughput. The printed *results* of the
 //! paper experiments come from the `cmp-bench` binaries
-//! (`--bin all`); these benches measure that machinery.
+//! (`--bin repro -- all`); these benches measure that machinery.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -15,11 +15,16 @@ use cmp_bench::figures;
 use cmp_bench::Lab;
 use cmp_latency::Table1;
 use cmp_nurapid::{CmpNurapid, NurapidConfig, PromotionPolicy};
-use cmp_sim::{run_multithreaded_custom, OrgKind, RunConfig};
+use cmp_sim::{run, run_workload_mono, try_multithreaded_workload, OrgKind, RunConfig};
+use cmp_trace::SyntheticWorkload;
 
 /// Small but non-trivial run sizing for benchmarking the harness.
 fn bench_cfg() -> RunConfig {
     RunConfig::sized(5_000, 10_000, 0xBE7C)
+}
+
+fn workload(name: &str) -> SyntheticWorkload {
+    try_multithreaded_workload(name, bench_cfg().seed).unwrap()
 }
 
 fn bench_table1(c: &mut Criterion) {
@@ -68,7 +73,7 @@ fn bench_ablations(c: &mut Criterion) {
                     in_situ_communication: isc,
                     ..NurapidConfig::paper()
                 };
-                black_box(run_multithreaded_custom("oltp", Box::new(CmpNurapid::new(nur)), &cfg));
+                black_box(run(workload("oltp"), CmpNurapid::new(nur), &cfg));
             }
         })
     });
@@ -76,11 +81,7 @@ fn bench_ablations(c: &mut Criterion) {
         b.iter(|| {
             for policy in [PromotionPolicy::Fastest, PromotionPolicy::NextFastest] {
                 let nur = NurapidConfig { promotion: policy, ..NurapidConfig::paper() };
-                black_box(run_multithreaded_custom(
-                    "specjbb",
-                    Box::new(CmpNurapid::new(nur)),
-                    &cfg,
-                ));
+                black_box(run(workload("specjbb"), CmpNurapid::new(nur), &cfg));
             }
         })
     });
@@ -88,7 +89,7 @@ fn bench_ablations(c: &mut Criterion) {
         b.iter(|| {
             for factor in [1usize, 2, 4] {
                 let nur = NurapidConfig { tag_capacity_factor: factor, ..NurapidConfig::paper() };
-                black_box(run_multithreaded_custom("oltp", Box::new(CmpNurapid::new(nur)), &cfg));
+                black_box(run(workload("oltp"), CmpNurapid::new(nur), &cfg));
             }
         })
     });
@@ -96,7 +97,7 @@ fn bench_ablations(c: &mut Criterion) {
         b.iter(|| {
             for staggered in [true, false] {
                 let nur = NurapidConfig { staggered_ranking: staggered, ..NurapidConfig::paper() };
-                black_box(run_multithreaded_custom("apache", Box::new(CmpNurapid::new(nur)), &cfg));
+                black_box(run(workload("apache"), CmpNurapid::new(nur), &cfg));
             }
         })
     });
@@ -109,7 +110,7 @@ fn bench_org_throughput(c: &mut Criterion) {
     let cfg = bench_cfg();
     for kind in OrgKind::COMPARISON {
         group.bench_function(kind.label(), |b| {
-            b.iter(|| black_box(cmp_sim::run_multithreaded("oltp", kind, &cfg)))
+            b.iter(|| black_box(run_workload_mono(workload("oltp"), kind, &cfg)))
         });
     }
     group.finish();

@@ -16,20 +16,17 @@ use cmp_bench::pool::{self, Job};
 use cmp_bench::table::{pct, rel, TextTable};
 use cmp_bench::{config_from_args, ok_or_exit, Lab, ResultSource, WorkloadId};
 use cmp_nurapid::{CmpNurapid, NurapidConfig, PromotionPolicy};
-use cmp_sim::{
-    try_run_mix_custom, try_run_multithreaded_custom, OrgKind, RunConfig, RunResult, SimError,
-};
+use cmp_sim::{run, try_mix_workload, try_multithreaded_workload, OrgKind, RunConfig, RunResult};
 
 /// One custom CMP-NuRAPID run as a pool job.
 fn custom(wl: &'static str, nur: NurapidConfig, cfg: RunConfig) -> Job<'static, RunResult> {
     Box::new(move || {
-        let org = Box::new(CmpNurapid::new(nur));
-        let r: Result<RunResult, SimError> = if wl.starts_with("MIX") {
-            try_run_mix_custom(wl, org, &cfg)
+        let org = CmpNurapid::new(nur);
+        if wl.starts_with("MIX") {
+            run(ok_or_exit(try_mix_workload(wl, cfg.seed)), org, &cfg)
         } else {
-            try_run_multithreaded_custom(wl, org, &cfg)
-        };
-        ok_or_exit(r)
+            run(ok_or_exit(try_multithreaded_workload(wl, cfg.seed)), org, &cfg)
+        }
     })
 }
 

@@ -13,7 +13,7 @@
 use std::time::Instant;
 
 use cmp_bench::{config_from_args, ok_or_exit};
-use cmp_sim::{run_workload_audited, try_run_multithreaded, OrgKind};
+use cmp_sim::{run_workload_audited, run_workload_mono, try_multithreaded_workload, OrgKind};
 
 use cmp_audit::AuditConfig;
 
@@ -22,11 +22,12 @@ const AUDIT_EVERY: u64 = 1_024;
 
 fn main() {
     let cfg = config_from_args();
+    let workload = || ok_or_exit(try_multithreaded_workload(WORKLOAD, cfg.seed));
     let mut rows = Vec::new();
     let mut total_violations = 0usize;
     for kind in OrgKind::ALL {
         let t0 = Instant::now();
-        let plain = ok_or_exit(try_run_multithreaded(WORKLOAD, kind, &cfg));
+        let plain = run_workload_mono(workload(), kind, &cfg);
         let plain_ms = t0.elapsed().as_secs_f64() * 1e3;
 
         // Wrapper present, every check off: the cost of the

@@ -5,16 +5,23 @@
 use cmp_bench::ok_or_exit;
 use cmp_cache::AccessClass;
 use cmp_mem::ReuseBucket;
-use cmp_sim::{try_run_mix, try_run_multithreaded, OrgKind, RunConfig};
+use cmp_sim::{
+    run_workload_mono, try_mix_workload, try_multithreaded_workload, OrgKind, RunConfig,
+};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let scale: u64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(100_000);
     let cfg = RunConfig::sized(scale / 2, scale, 0x15CA);
+    let run_mt = |wl, kind| {
+        run_workload_mono(ok_or_exit(try_multithreaded_workload(wl, cfg.seed)), kind, &cfg)
+    };
+    let run_mix =
+        |mix, kind| run_workload_mono(ok_or_exit(try_mix_workload(mix, cfg.seed)), kind, &cfg);
     println!("== multithreaded (scale {scale}/core) ==");
     let mut relsum = std::collections::HashMap::<&str, (f64, usize)>::new();
     for wl in ["oltp", "apache", "specjbb", "ocean", "barnes"] {
-        let shared = ok_or_exit(try_run_multithreaded(wl, OrgKind::Shared, &cfg));
+        let shared = run_mt(wl, OrgKind::Shared);
         let base_ipc = shared.ipc();
         for kind in [
             OrgKind::Shared,
@@ -25,11 +32,7 @@ fn main() {
             OrgKind::NurapidCrOnly,
             OrgKind::NurapidIscOnly,
         ] {
-            let r = if kind == OrgKind::Shared {
-                shared.clone()
-            } else {
-                ok_or_exit(try_run_multithreaded(wl, kind, &cfg))
-            };
+            let r = if kind == OrgKind::Shared { shared.clone() } else { run_mt(wl, kind) };
             let s = &r.l2;
             let f = |c| s.class_fraction(c).value() * 100.0;
             println!(
@@ -67,13 +70,9 @@ fn main() {
     }
     println!("\n== multiprogrammed ==");
     for mix in ["MIX1", "MIX2", "MIX3", "MIX4"] {
-        let shared = ok_or_exit(try_run_mix(mix, OrgKind::Shared, &cfg));
+        let shared = run_mix(mix, OrgKind::Shared);
         for kind in [OrgKind::Shared, OrgKind::Private, OrgKind::Snuca, OrgKind::Nurapid] {
-            let r = if kind == OrgKind::Shared {
-                shared.clone()
-            } else {
-                ok_or_exit(try_run_mix(mix, kind, &cfg))
-            };
+            let r = if kind == OrgKind::Shared { shared.clone() } else { run_mix(mix, kind) };
             println!(
                 "{mix:5} {:24} rel={:6.3} miss={:5.2}% l2acc/ref {:4.1}% stall/l2acc {:5.1} buswait {:4} ipc {:.3}",
                 kind.label(),

@@ -10,38 +10,25 @@
 //! including the `dispatch` pair `system_step_mono_ns` /
 //! `system_step_dyn_ns`.
 //!
-//! Usage: `hotpath [quick|paper|REFS]` — defaults to `quick`.
+//! Usage: `hotpath [quick|paper|<refs>]` — defaults to `quick`.
 
 use std::collections::HashSet;
 use std::hint::black_box;
 use std::time::Instant;
 
-use cmp_bench::{figures, ok_or_exit, Json, Lab, ResultSource, WorkloadId};
+use cmp_bench::{figures, ok_or_exit, parse_config, Json, Lab, ResultSource, WorkloadId};
 use cmp_cache::lru::LruSets;
 use cmp_cache::{TagArray, UniformShared};
 use cmp_latency::LatencyBook;
 use cmp_mem::{AccessKind, BlockAddr, CacheGeometry, CoreId, Rng, Zipf};
 use cmp_nurapid::{CmpNurapid, NurapidConfig};
-use cmp_sim::{build_org, OrgKind, RunConfig, RunResult, System};
+use cmp_sim::{
+    build_org, run, try_mix_workload, try_multithreaded_workload, OrgKind, RunConfig, RunResult,
+    System,
+};
 use cmp_trace::{profiles, Region};
 
 const REPORT_PATH: &str = "BENCH_hotpath.json";
-
-/// Like `cmp_bench::config_from_args`, but defaulting to `quick`, the
-/// sizing the checked-in report history was recorded with.
-fn config() -> RunConfig {
-    match std::env::args().nth(1).as_deref() {
-        None | Some("quick") => RunConfig::quick(),
-        Some("paper") => RunConfig::paper(),
-        Some(n) => {
-            let measure: u64 = n.parse().unwrap_or_else(|_| {
-                eprintln!("usage: hotpath [quick|paper|REFS]");
-                std::process::exit(2);
-            });
-            RunConfig { measure_accesses: measure, ..RunConfig::quick() }
-        }
-    }
-}
 
 /// Average nanoseconds per call of `f` over `iters` calls.
 fn ns_per_op<F: FnMut()>(iters: u64, mut f: F) -> f64 {
@@ -291,9 +278,9 @@ fn check_dispatch_floor(micro: &Json) {
     }
 }
 
-/// Re-runs every pair through the `Box<dyn CacheOrg>` wrappers — the
-/// pre-monomorphization code path, kept for custom-org callers. This
-/// is the dyn-dispatch baseline the sweep speedup is reported
+/// Re-runs every pair through [`run`] over [`build_org`]'s
+/// `Box<dyn CacheOrg>` — the path custom orgs take. This is the
+/// dyn-dispatch baseline the sweep speedup is reported
 /// against, measured in the same process invocation.
 fn dyn_sequential_sweep(
     unique: &[(WorkloadId, OrgKind)],
@@ -304,9 +291,11 @@ fn dyn_sequential_sweep(
         .iter()
         .map(|&(wl, kind)| match wl {
             WorkloadId::Multithreaded(n) => {
-                ok_or_exit(cmp_sim::try_run_multithreaded_custom(n, build_org(kind), cfg))
+                run(ok_or_exit(try_multithreaded_workload(n, cfg.seed)), build_org(kind), cfg)
             }
-            WorkloadId::Mix(n) => ok_or_exit(cmp_sim::try_run_mix_custom(n, build_org(kind), cfg)),
+            WorkloadId::Mix(n) => {
+                run(ok_or_exit(try_mix_workload(n, cfg.seed)), build_org(kind), cfg)
+            }
             // Figure sweeps contain no spec pairs; run one anyway (on
             // its own machine) rather than crash the benchmark.
             WorkloadId::Spec(s) => s.spec.simulate(kind, cfg),
@@ -316,7 +305,9 @@ fn dyn_sequential_sweep(
 }
 
 fn main() {
-    let cfg = config();
+    // Defaults to `quick`, the sizing the checked-in report history
+    // was recorded with.
+    let cfg = parse_config(std::env::args().nth(1).as_deref(), RunConfig::quick());
     let submitted = figures::pairs::all();
     let mut seen = HashSet::new();
     let unique: Vec<_> = submitted.iter().copied().filter(|p| seen.insert(*p)).collect();

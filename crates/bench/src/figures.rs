@@ -2,8 +2,9 @@
 //!
 //! Every function renders the measured results in the paper's layout
 //! and, where the paper states numbers, appends them for comparison.
-//! The functions return `String`s so binaries and EXPERIMENTS.md
-//! generation share one code path. They take a [`Lab`] and look
+//! The functions return `String`s so the `repro` binary and
+//! EXPERIMENTS.md generation share one code path; [`ENTRIES`] lists
+//! them with the pairs each one needs. They take a [`Lab`] and look
 //! results up through it, so a figure renders the same bytes whether
 //! its pairs were simulated on demand or prefetched across a worker
 //! pool — the determinism suite compares the two byte for byte.
@@ -20,7 +21,7 @@ use cmp_latency::Table1;
 use cmp_mem::{ReuseBucket, ReuseHistogram};
 use cmp_sim::OrgKind;
 
-use crate::lab::{Lab, ResultSource};
+use crate::lab::{Lab, Pair, ResultSource};
 use crate::table::{pct, rel, TextTable};
 use crate::{WorkloadId, COMMERCIAL, MIXES, MULTITHREADED};
 
@@ -39,7 +40,6 @@ fn mix(name: &'static str) -> WorkloadId {
 /// takes cache hits.
 pub mod pairs {
     use super::*;
-    use crate::lab::Pair;
 
     fn cross(
         workloads: &[&'static str],
@@ -119,26 +119,33 @@ pub mod pairs {
         cross(&MIXES, mix, &[OrgKind::Nurapid])
     }
 
-    /// The union of every figure's pairs, in figure order, duplicates
-    /// included (prefetch deduplicates).
+    /// The union of every entry's pairs, in [`ENTRIES`] order,
+    /// duplicates included (prefetch deduplicates).
     pub fn all() -> Vec<Pair> {
-        let mut out = Vec::new();
-        for set in [
-            fig5(),
-            fig6(),
-            fig7(),
-            fig8(),
-            fig9(),
-            fig10(),
-            fig11(),
-            fig12(),
-            closest_dgroup_share(),
-        ] {
-            out.extend(set);
-        }
-        out
+        ENTRIES.iter().flat_map(|(_, pairs, _)| pairs()).collect()
     }
 }
+
+/// One printable table or figure: its name, the pairs to prefetch
+/// before rendering it, and its renderer.
+pub type Entry = (&'static str, fn() -> Vec<Pair>, fn(&mut Lab) -> String);
+
+/// Every table and figure, in the paper's order — the `repro`
+/// binary's subcommands.
+pub const ENTRIES: [Entry; 12] = [
+    ("table1", Vec::new, |_| table1()),
+    ("table2", Vec::new, |_| table2()),
+    ("table3", Vec::new, |_| table3()),
+    ("fig5", pairs::fig5, fig5),
+    ("fig6", pairs::fig6, fig6),
+    ("fig7", pairs::fig7, fig7),
+    ("fig8", pairs::fig8, fig8),
+    ("fig9", pairs::fig9, fig9),
+    ("fig10", pairs::fig10, fig10),
+    ("fig11", pairs::fig11, fig11),
+    ("fig12", pairs::fig12, fig12),
+    ("closest_dgroup_share", pairs::closest_dgroup_share, closest_dgroup_share),
+];
 
 /// Table 1: cache and bus latencies, from the analytical model, with
 /// the published values asserted equal.

@@ -88,14 +88,14 @@ fn intern_org_name(name: &str) -> Option<&'static str> {
 /// (whose name must be `&'static str`) via the crate's workload
 /// tables.
 fn intern_workload(kind: &str, name: &str) -> Option<WorkloadId> {
-    match kind {
-        "mt" => {
-            crate::MULTITHREADED.iter().find(|w| **w == name).map(|w| WorkloadId::Multithreaded(w))
-        }
-        "mix" => crate::MIXES.iter().find(|m| **m == name).map(|m| WorkloadId::Mix(m)),
+    match (kind, WorkloadId::from_catalog(name)) {
+        // The kind tag must agree with the catalog: an `mt` record
+        // naming a mix is rejected.
+        ("mt", Some(id @ WorkloadId::Multithreaded(_)))
+        | ("mix", Some(id @ WorkloadId::Mix(_))) => Some(id),
         // A spec record stores its canonical JSON as the name; it
         // re-parses back through the intern registry.
-        "spec" => crate::spec::intern_canonical(name).map(WorkloadId::Spec),
+        ("spec", _) => crate::spec::intern_canonical(name).map(WorkloadId::Spec),
         _ => None,
     }
 }
@@ -505,7 +505,7 @@ pub fn run_result_from_json(value: &Json) -> Result<RunResult, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cmp_sim::try_run_multithreaded;
+    use cmp_sim::{run_workload_mono, try_multithreaded_workload};
 
     fn tiny_cfg() -> RunConfig {
         RunConfig::sized(200, 400, 11)
@@ -520,7 +520,9 @@ mod tests {
 
     fn sample() -> (Pair, RunResult) {
         let pair: Pair = (WorkloadId::Multithreaded("barnes"), OrgKind::Nurapid);
-        let r = try_run_multithreaded("barnes", OrgKind::Nurapid, &tiny_cfg()).unwrap();
+        let cfg = tiny_cfg();
+        let barnes = try_multithreaded_workload("barnes", cfg.seed).unwrap();
+        let r = run_workload_mono(barnes, OrgKind::Nurapid, &cfg);
         (pair, r)
     }
 
@@ -658,20 +660,24 @@ mod tests {
 
     #[test]
     fn stale_workload_names_error_instead_of_corrupting() {
-        let path = tmp("stale");
-        let (pair, r) = sample();
-        let mut record = record_to_json(pair, &r);
-        if let Json::Obj(fields) = &mut record {
-            for (k, v) in fields.iter_mut() {
-                if k == "workload" {
-                    *v = Json::Str("tpch".into());
+        // An unknown name, and a catalog name under the wrong kind tag
+        // (the sample is an `mt` record; MIX1 is a mix).
+        for name in ["tpch", "MIX1"] {
+            let path = tmp("stale");
+            let (pair, r) = sample();
+            let mut record = record_to_json(pair, &r);
+            if let Json::Obj(fields) = &mut record {
+                for (k, v) in fields.iter_mut() {
+                    if k == "workload" {
+                        *v = Json::Str(name.into());
+                    }
                 }
             }
+            let header = header_json(&tiny_cfg()).compact();
+            std::fs::write(&path, format!("{header}\n{}\n", record.compact())).unwrap();
+            let err = Journal::open(&path, &tiny_cfg()).unwrap_err();
+            assert!(matches!(err, SimError::Journal(_)), "{name}: {err}");
+            let _ = std::fs::remove_file(&path);
         }
-        let header = header_json(&tiny_cfg()).compact();
-        std::fs::write(&path, format!("{header}\n{}\n", record.compact())).unwrap();
-        let err = Journal::open(&path, &tiny_cfg()).unwrap_err();
-        assert!(matches!(err, SimError::Journal(_)), "{err}");
-        let _ = std::fs::remove_file(&path);
     }
 }

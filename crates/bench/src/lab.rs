@@ -13,7 +13,10 @@
 
 use std::collections::{HashMap, HashSet};
 
-use cmp_sim::{try_run_mix, try_run_multithreaded, OrgKind, RunConfig, RunResult, SimError};
+use cmp_sim::{
+    run_workload_mono, try_mix_workload, try_multithreaded_workload, OrgKind, RunConfig, RunResult,
+    SimError,
+};
 
 use crate::journal::Journal;
 use crate::pool::{self, JobError};
@@ -40,6 +43,16 @@ impl WorkloadId {
             WorkloadId::Spec(s) => s.spec.name.as_str(),
         }
     }
+
+    /// Resolves a name against the fixed Table 3 / Table 2 catalog
+    /// ([`crate::MULTITHREADED`], then [`crate::MIXES`]), yielding the
+    /// `'static` id the memo cache keys on.
+    pub fn from_catalog(name: &str) -> Option<WorkloadId> {
+        let find = |names: &[&'static str]| names.iter().copied().find(|n| *n == name);
+        find(&crate::MULTITHREADED)
+            .map(WorkloadId::Multithreaded)
+            .or_else(|| find(&crate::MIXES).map(WorkloadId::Mix))
+    }
 }
 
 /// A (workload, organization) pair — the unit of simulation the labs
@@ -53,8 +66,12 @@ pub type Pair = (WorkloadId, OrgKind);
 /// retried: a re-run would fail the same way.
 pub(crate) fn simulate_pair(pair: Pair, cfg: &RunConfig) -> Result<RunResult, SimError> {
     match pair.0 {
-        WorkloadId::Multithreaded(name) => try_run_multithreaded(name, pair.1, cfg),
-        WorkloadId::Mix(name) => try_run_mix(name, pair.1, cfg),
+        WorkloadId::Multithreaded(name) => {
+            Ok(run_workload_mono(try_multithreaded_workload(name, cfg.seed)?, pair.1, cfg))
+        }
+        WorkloadId::Mix(name) => {
+            Ok(run_workload_mono(try_mix_workload(name, cfg.seed)?, pair.1, cfg))
+        }
         // A spec's sizing overrides ride *inside* the cache key (the
         // interned canonical form), so overriding the lab's config
         // here keeps memoization sound.

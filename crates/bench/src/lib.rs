@@ -3,7 +3,7 @@
 //! Experiment harness for the CMP-NuRAPID reproduction.
 //!
 //! One function per table/figure of the paper ([`figures`]), driven
-//! by one memoizing [`Lab`] so that the `all` binary reuses simulation
+//! by one memoizing [`Lab`] so that `repro all` reuses simulation
 //! runs across figures. The lab simulates a pair on demand or fans a
 //! batch across worker threads; a batch job that panics or overruns
 //! its deadline is quarantined on its first attempt with a one-line
@@ -12,15 +12,16 @@
 //! reported values for side-by-side comparison:
 //!
 //! ```text
-//! cargo run --release -p cmp-bench --bin table1
-//! cargo run --release -p cmp-bench --bin fig5      # ... fig6..fig12
-//! cargo run --release -p cmp-bench --bin all       # everything
-//! cargo run --release -p cmp-bench --bin ablations # design-choice studies
+//! cargo run --release -p cmp-bench --bin repro -- table1
+//! cargo run --release -p cmp-bench --bin repro -- fig5  # ... fig6..fig12
+//! cargo run --release -p cmp-bench --bin repro -- all   # everything
+//! cargo run --release -p cmp-bench --bin ablations      # design-choice studies
 //! ```
 //!
-//! All binaries accept an optional positional argument `quick` for a
-//! fast low-fidelity pass (CI smoke), defaulting to the full
-//! paper-scale configuration.
+//! The binaries take an optional sizing argument `[quick|paper|<refs>]`
+//! ([`parse_config`]; `repro` reads it after the entry name): `quick`
+//! is a fast low-fidelity pass (CI smoke), and most binaries default
+//! to the full paper-scale configuration.
 
 pub mod figures;
 pub mod journal;
@@ -49,20 +50,28 @@ pub use table::TextTable;
 
 use cmp_sim::RunConfig;
 
-/// Parses the common binary CLI: `[quick|paper|<measure_accesses>]`.
-pub fn config_from_args() -> RunConfig {
-    let arg = std::env::args().nth(1);
-    match arg.as_deref() {
+/// Parses a sizing argument `[quick|paper|<refs>]`: `<refs>` measured
+/// references per core after `<refs>/2` of warm-up, at the paper seed;
+/// no argument means `default`. Exits 2 with usage on anything else.
+pub fn parse_config(arg: Option<&str>, default: RunConfig) -> RunConfig {
+    match arg {
+        None => default,
         Some("quick") => RunConfig::quick(),
-        None | Some("paper") => RunConfig::paper(),
+        Some("paper") => RunConfig::paper(),
         Some(n) => {
             let measure: u64 = n.parse().unwrap_or_else(|_| {
-                eprintln!("usage: <bin> [quick|paper|<measure_accesses>]");
+                eprintln!("usage: <bin> [quick|paper|<refs>]");
                 std::process::exit(2);
             });
-            RunConfig::sized(measure / 2, measure, 0x15CA)
+            RunConfig::sized(measure / 2, measure, RunConfig::paper().seed)
         }
     }
+}
+
+/// The common binary CLI: [`parse_config`] over the first argument,
+/// defaulting to the paper-scale configuration.
+pub fn config_from_args() -> RunConfig {
+    parse_config(std::env::args().nth(1).as_deref(), RunConfig::paper())
 }
 
 /// Unwraps a runner result in a binary: prints the error and exits

@@ -80,27 +80,13 @@ impl UniformShared {
     /// The paper's uniform-shared configuration: 8 MB, 32-way, 59-cycle
     /// hits (Table 1).
     pub fn paper_shared(book: &LatencyBook) -> Self {
-        UniformShared::new(
-            book.cores(),
-            CacheGeometry::new(cmp_mem::L2_TOTAL_BYTES, cmp_mem::L2_BLOCK_BYTES, 32),
-            book.shared_tag,
-            book.shared_total,
-            book.memory,
-            "shared",
-        )
+        Self::sized_shared(book, cmp_mem::L2_TOTAL_BYTES)
     }
 
     /// The ideal cache: shared capacity at private latency
     /// (Section 5.1.1's upper bound).
     pub fn paper_ideal(book: &LatencyBook) -> Self {
-        UniformShared::new(
-            book.cores(),
-            CacheGeometry::new(cmp_mem::L2_TOTAL_BYTES, cmp_mem::L2_BLOCK_BYTES, 32),
-            book.private_tag,
-            book.ideal_total,
-            book.memory,
-            "ideal",
-        )
+        Self::sized_ideal(book, cmp_mem::L2_TOTAL_BYTES)
     }
 
     /// The paper's shared organization at an explicit total capacity

@@ -31,7 +31,7 @@
 //!    replay line, and every result is byte-identical to the [`Lab`]
 //!    path.
 //!
-//! Usage: `serve_chaos [quick|paper|<measure_accesses>]` (default: a
+//! Usage: `serve_chaos [quick|paper|<refs>]` (default: a
 //! small fixed sizing — the properties under test are scale-free).
 
 use std::collections::HashMap;
@@ -39,23 +39,13 @@ use std::time::Duration;
 
 use cmp_audit::ChaosSchedule;
 use cmp_bench::journal::run_result_to_json;
-use cmp_bench::{Json, Lab, Pair, ResultSource, MULTITHREADED};
+use cmp_bench::{parse_config, Json, Lab, Pair, ResultSource, WorkloadId, MULTITHREADED};
 use cmp_serve::{parse_line, shard_journal_path, Request, ServeOptions, Service, SharedService};
 use cmp_sim::{OrgKind, RunConfig};
 
 fn main() {
-    let cfg = match std::env::args().nth(1).as_deref() {
-        None => RunConfig::sized(2_000, 4_000, 0xC4A05),
-        Some("quick") => RunConfig::quick(),
-        Some("paper") => RunConfig::paper(),
-        Some(n) => {
-            let measure: u64 = n.parse().unwrap_or_else(|_| {
-                eprintln!("usage: serve_chaos [quick|paper|<measure_accesses>]");
-                std::process::exit(2);
-            });
-            RunConfig::sized(measure / 2, measure, 0xC4A05)
-        }
-    };
+    let cfg =
+        parse_config(std::env::args().nth(1).as_deref(), RunConfig::sized(2_000, 4_000, 0xC4A05));
     let mut failures: Vec<String> = Vec::new();
 
     // The reference: the same pairs looked up one at a time in a Lab,
@@ -63,9 +53,7 @@ fn main() {
     let orgs = [OrgKind::Shared, OrgKind::Private, OrgKind::Nurapid];
     let pairs: Vec<Pair> = MULTITHREADED
         .iter()
-        .flat_map(|w| {
-            orgs.iter().map(move |&o| (cmp_serve::request::workload_from_name(w).unwrap(), o))
-        })
+        .flat_map(|w| orgs.iter().map(move |&o| (WorkloadId::from_catalog(w).unwrap(), o)))
         .collect();
     let mut reference: HashMap<String, String> = HashMap::new();
     let mut lab = Lab::new(cfg);

@@ -38,8 +38,8 @@
 //!
 //! Because the service and the CLI batch path share one
 //! [`cmp_bench::Lab`], a result served here is
-//! byte-identical to the same pair run by `parallel_lab` or the
-//! figure binaries — the chaos suite (`serve_chaos`) and the flood
+//! byte-identical to the same pair run by `parallel_lab` or
+//! `repro` — the chaos suite (`serve_chaos`) and the flood
 //! tests assert that equality on serialized bytes.
 //!
 //! The wire format is documented in `DESIGN.md` ("Serving") and in

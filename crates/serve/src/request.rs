@@ -89,16 +89,6 @@ fn clip(s: &str) -> String {
     format!("{}...", &s[..end])
 }
 
-/// Resolves a workload name against the fixed Table 2/3 catalog,
-/// yielding the `'static` id the memo cache keys on.
-pub fn workload_from_name(name: &str) -> Option<WorkloadId> {
-    MULTITHREADED
-        .iter()
-        .find(|w| **w == name)
-        .map(|w| WorkloadId::Multithreaded(w))
-        .or_else(|| MIXES.iter().find(|m| **m == name).map(|m| WorkloadId::Mix(m)))
-}
-
 fn workload_catalog() -> String {
     let names: Vec<&str> = MULTITHREADED.iter().chain(MIXES.iter()).copied().collect();
     format!("one of {}", names.join("|"))
@@ -302,7 +292,7 @@ fn parse_jobs(value: &Json, id: Json, defaults: RunConfig) -> Result<Request, Si
                 let name = w
                     .as_str()
                     .ok_or_else(|| invalid("workloads", workload_catalog(), clip(&w.compact())))?;
-                workload_from_name(name)
+                WorkloadId::from_catalog(name)
                     .ok_or_else(|| invalid("workloads", workload_catalog(), clip(name)))
             })
             .collect::<Result<_, _>>()?
@@ -314,7 +304,7 @@ fn parse_jobs(value: &Json, id: Json, defaults: RunConfig) -> Result<Request, Si
                 return Err(invalid("workload", workload_catalog(), got));
             }
         };
-        vec![workload_from_name(name)
+        vec![WorkloadId::from_catalog(name)
             .ok_or_else(|| invalid("workload", workload_catalog(), clip(name)))?]
     };
 

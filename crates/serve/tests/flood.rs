@@ -74,7 +74,7 @@ fn flood_bounds_the_queue_sheds_explicitly_and_loses_nothing() {
     for resp in &responses {
         let w = resp.get("workload").and_then(|v| v.as_str()).unwrap();
         let o = resp.get("org").and_then(|v| v.as_str()).unwrap();
-        let workload = cmp_serve::request::workload_from_name(w).unwrap();
+        let workload = WorkloadId::from_catalog(w).unwrap();
         let org = OrgKind::from_name(o).unwrap();
         let expect = run_result_to_json(lab.result(workload, org)).compact();
         let served = resp.get("result").unwrap().compact();
@@ -176,11 +176,7 @@ fn mixes_and_multithreaded_share_one_service() {
     for resp in &responses {
         assert_eq!(resp.get("type").and_then(|t| t.as_str()), Some("result"));
         let w = resp.get("workload").and_then(|v| v.as_str()).unwrap();
-        let workload = if w.starts_with("MIX") {
-            WorkloadId::Mix(cmp_bench::MIXES.iter().find(|m| **m == w).unwrap())
-        } else {
-            cmp_serve::request::workload_from_name(w).unwrap()
-        };
+        let workload = WorkloadId::from_catalog(w).unwrap();
         let org = OrgKind::from_name(resp.get("org").and_then(|v| v.as_str()).unwrap()).unwrap();
         let expect = run_result_to_json(lab.result(workload, org)).compact();
         assert_eq!(resp.get("result").unwrap().compact(), expect);

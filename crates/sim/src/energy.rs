@@ -111,17 +111,22 @@ pub fn account(run: &RunResult, kind: OrgKind, model: &EnergyModel) -> EnergyBre
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{run_multithreaded, RunConfig};
+    use crate::runner::{multithreaded_workload, run_workload_mono, RunConfig};
+    use crate::system::RunResult;
 
     fn quick() -> RunConfig {
         RunConfig::sized(10_000, 20_000, 0xE6)
     }
 
+    fn run_mt(workload: &str, kind: OrgKind, cfg: &RunConfig) -> RunResult {
+        run_workload_mono(multithreaded_workload(workload, cfg.seed), kind, cfg)
+    }
+
     #[test]
     fn nurapid_spends_less_l2_energy_than_shared() {
         let model = EnergyModel::paper_70nm();
-        let shared = run_multithreaded("oltp", OrgKind::Shared, &quick());
-        let nurapid = run_multithreaded("oltp", OrgKind::Nurapid, &quick());
+        let shared = run_mt("oltp", OrgKind::Shared, &quick());
+        let nurapid = run_mt("oltp", OrgKind::Nurapid, &quick());
         let es = account(&shared, OrgKind::Shared, &model);
         let en = account(&nurapid, OrgKind::Nurapid, &model);
         // The monolithic array + central tag dominate: NuRAPID's
@@ -137,7 +142,7 @@ mod tests {
     #[test]
     fn memory_energy_tracks_misses() {
         let model = EnergyModel::paper_70nm();
-        let r = run_multithreaded("barnes", OrgKind::Shared, &quick());
+        let r = run_mt("barnes", OrgKind::Shared, &quick());
         let e = account(&r, OrgKind::Shared, &model);
         let expect = r.l2.misses() as f64 * model.memory * 1e-6;
         assert!((e.memory_mj - expect).abs() < 1e-12);
@@ -146,7 +151,7 @@ mod tests {
     #[test]
     fn breakdown_totals_are_consistent() {
         let model = EnergyModel::paper_70nm();
-        let r = run_multithreaded("apache", OrgKind::Private, &quick());
+        let r = run_mt("apache", OrgKind::Private, &quick());
         let e = account(&r, OrgKind::Private, &model);
         let sum = e.tag_mj + e.data_mj + e.bus_mj + e.memory_mj + e.l1_mj;
         assert!((e.total_mj() - sum).abs() < 1e-12);
@@ -157,8 +162,8 @@ mod tests {
     #[test]
     fn private_pays_more_bus_energy_than_shared() {
         let model = EnergyModel::paper_70nm();
-        let shared = run_multithreaded("oltp", OrgKind::Shared, &quick());
-        let private = run_multithreaded("oltp", OrgKind::Private, &quick());
+        let shared = run_mt("oltp", OrgKind::Shared, &quick());
+        let private = run_mt("oltp", OrgKind::Private, &quick());
         let es = account(&shared, OrgKind::Shared, &model);
         let ep = account(&private, OrgKind::Private, &model);
         assert!(ep.bus_mj > es.bus_mj, "private coherence must cost bus energy");

@@ -4,8 +4,8 @@
 //! mix, or organization names. Batch experiment drivers (and the
 //! replay path, which parses artifacts produced elsewhere) need to
 //! surface those conditions instead of tearing the process down, so
-//! every panicking entry point now has a `try_` twin returning
-//! [`SimError`].
+//! the workload constructors they call (`try_multithreaded_workload`,
+//! `try_mix_workload`, `workload_by_name`) return [`SimError`].
 
 use std::fmt;
 

@@ -20,13 +20,14 @@
 //! # Example
 //!
 //! ```
-//! use cmp_sim::{OrgKind, RunConfig};
+//! use cmp_sim::{run_workload_mono, try_multithreaded_workload, OrgKind, RunConfig};
 //!
 //! // A short OLTP run: the ideal cache (shared capacity at private
 //! // latency) beats the uniform-shared cache at any scale.
 //! let cfg = RunConfig::sized(2_000, 2_000, 1);
-//! let ideal = cmp_sim::run_multithreaded("oltp", OrgKind::Ideal, &cfg);
-//! let shared = cmp_sim::run_multithreaded("oltp", OrgKind::Shared, &cfg);
+//! let oltp = || try_multithreaded_workload("oltp", cfg.seed).unwrap();
+//! let ideal = run_workload_mono(oltp(), OrgKind::Ideal, &cfg);
+//! let shared = run_workload_mono(oltp(), OrgKind::Shared, &cfg);
 //! assert!(ideal.ipc() > shared.ipc());
 //! ```
 
@@ -43,11 +44,9 @@ pub use energy::{account as energy_account, EnergyBreakdown};
 pub use error::SimError;
 pub use l1::{L1Cache, L1Stats};
 pub use runner::{
-    build_org, build_org_sized, run_mix, run_mix_custom, run_multithreaded,
-    run_multithreaded_custom, run_workload_mono, run_workload_mono_with,
-    try_multithreaded_workload, try_multithreaded_workload_for, try_run_mix, try_run_mix_custom,
-    try_run_multithreaded, try_run_multithreaded_custom, workload_by_name, workload_by_name_for,
-    AnyWorkload, OrgKind, RunConfig,
+    build_org, build_org_sized, run, run_workload_mono, run_workload_mono_with, try_mix_workload,
+    try_multithreaded_workload, try_multithreaded_workload_for, workload_by_name,
+    workload_by_name_for, AnyWorkload, OrgKind, RunConfig,
 };
 pub use stopping::{z_for_confidence, StopInfo, StopMetric, StopRule, Welford};
 pub use system::{RunResult, System};

@@ -94,48 +94,64 @@ impl OrgKind {
     }
 }
 
+/// Receives the concrete organization [`with_org`] builds for an
+/// [`OrgKind`], so one match serves both the boxed and the
+/// monomorphized paths.
+trait OrgVisitor {
+    type Out;
+    fn visit<O: CacheOrg + 'static>(self, org: O) -> Self::Out;
+}
+
+/// The one `OrgKind` → organization mapping: builds `kind` for the
+/// machine described by `book` (which fixes the core count) and a
+/// total L2 capacity, and hands the concrete org to `visitor`.
+/// NuRAPID splits the capacity into one d-group per core (rounded up
+/// to a power of two).
+fn with_org<V: OrgVisitor>(
+    kind: OrgKind,
+    book: &LatencyBook,
+    l2_bytes: usize,
+    visitor: V,
+) -> V::Out {
+    let nurapid = |base: NurapidConfig| {
+        CmpNurapid::new(NurapidConfig {
+            cores: book.cores(),
+            dgroup_bytes: l2_bytes / book.cores().next_power_of_two(),
+            latencies: book.clone(),
+            ..base
+        })
+    };
+    match kind {
+        OrgKind::Shared => visitor.visit(UniformShared::sized_shared(book, l2_bytes)),
+        OrgKind::Private => visitor.visit(PrivateMesi::sized(book, l2_bytes)),
+        OrgKind::Snuca => visitor.visit(Snuca::sized(book, l2_bytes)),
+        OrgKind::Dnuca => visitor.visit(Dnuca::sized(book, l2_bytes)),
+        OrgKind::Ideal => visitor.visit(UniformShared::sized_ideal(book, l2_bytes)),
+        OrgKind::Nurapid => visitor.visit(nurapid(NurapidConfig::paper())),
+        OrgKind::NurapidCrOnly => visitor.visit(nurapid(NurapidConfig::paper_cr_only())),
+        OrgKind::NurapidIscOnly => visitor.visit(nurapid(NurapidConfig::paper_isc_only())),
+        OrgKind::Cnuca => visitor.visit(Cnuca::sized(book, l2_bytes)),
+    }
+}
+
 /// Builds an organization at the paper's scale.
 pub fn build_org(kind: OrgKind) -> Box<dyn CacheOrg> {
-    let book = LatencyBook::paper();
-    match kind {
-        OrgKind::Shared => Box::new(UniformShared::paper_shared(&book)),
-        OrgKind::Private => Box::new(PrivateMesi::paper(&book)),
-        OrgKind::Snuca => Box::new(Snuca::paper(&book)),
-        OrgKind::Dnuca => Box::new(Dnuca::paper(&book)),
-        OrgKind::Ideal => Box::new(UniformShared::paper_ideal(&book)),
-        OrgKind::Nurapid => Box::new(CmpNurapid::new(NurapidConfig::paper())),
-        OrgKind::NurapidCrOnly => Box::new(CmpNurapid::new(NurapidConfig::paper_cr_only())),
-        OrgKind::NurapidIscOnly => Box::new(CmpNurapid::new(NurapidConfig::paper_isc_only())),
-        OrgKind::Cnuca => Box::new(Cnuca::paper(&book)),
-    }
+    build_org_sized(kind, &LatencyBook::paper(), cmp_mem::L2_TOTAL_BYTES)
 }
 
 /// Builds an organization for an arbitrary machine described by a
 /// latency book and a total L2 capacity — the scenario-spec path.
-/// With `LatencyBook::paper()` and [`cmp_mem::L2_TOTAL_BYTES`] this
-/// constructs bit-identical organizations to [`build_org`].
+/// With `LatencyBook::paper()` and [`cmp_mem::L2_TOTAL_BYTES`] it is
+/// [`build_org`].
 pub fn build_org_sized(kind: OrgKind, book: &LatencyBook, l2_bytes: usize) -> Box<dyn CacheOrg> {
-    let nurapid = |base: NurapidConfig| NurapidConfig {
-        cores: book.cores(),
-        dgroup_bytes: l2_bytes / book.cores().next_power_of_two(),
-        latencies: book.clone(),
-        ..base
-    };
-    match kind {
-        OrgKind::Shared => Box::new(UniformShared::sized_shared(book, l2_bytes)),
-        OrgKind::Private => Box::new(PrivateMesi::sized(book, l2_bytes)),
-        OrgKind::Snuca => Box::new(Snuca::sized(book, l2_bytes)),
-        OrgKind::Dnuca => Box::new(Dnuca::sized(book, l2_bytes)),
-        OrgKind::Ideal => Box::new(UniformShared::sized_ideal(book, l2_bytes)),
-        OrgKind::Nurapid => Box::new(CmpNurapid::new(nurapid(NurapidConfig::paper()))),
-        OrgKind::NurapidCrOnly => {
-            Box::new(CmpNurapid::new(nurapid(NurapidConfig::paper_cr_only())))
+    struct Boxed;
+    impl OrgVisitor for Boxed {
+        type Out = Box<dyn CacheOrg>;
+        fn visit<O: CacheOrg + 'static>(self, org: O) -> Box<dyn CacheOrg> {
+            Box::new(org)
         }
-        OrgKind::NurapidIscOnly => {
-            Box::new(CmpNurapid::new(nurapid(NurapidConfig::paper_isc_only())))
-        }
-        OrgKind::Cnuca => Box::new(Cnuca::sized(book, l2_bytes)),
     }
+    with_org(kind, book, l2_bytes, Boxed)
 }
 
 /// Run sizing shared by the figure harnesses.
@@ -222,6 +238,11 @@ pub fn multithreaded_workload(name: &str, seed: u64) -> SyntheticWorkload {
     try_multithreaded_workload(name, seed).unwrap_or_else(|e| panic!("{e}"))
 }
 
+/// Builds one of the Table 2 multiprogrammed mixes by name.
+pub fn try_mix_workload(name: &str, seed: u64) -> Result<MixWorkload, SimError> {
+    MixWorkload::table2(name, seed).ok_or_else(|| SimError::UnknownMix(name.to_string()))
+}
+
 /// Any workload the runner can name: a Table 3 multithreaded
 /// workload or a Table 2 multiprogrammed mix, behind one
 /// [`TraceSource`]. Lets the audited/replay entry points accept
@@ -291,12 +312,12 @@ pub fn workload_by_name_for(name: &str, seed: u64, cores: usize) -> Result<AnyWo
 }
 
 /// Runs a workload on one of the stock organizations through a fully
-/// monomorphized `System<W, O>`: the `OrgKind` match here is the only
+/// monomorphized `System<W, O>`: the `OrgKind` match is the only
 /// dispatch in the run — inside each arm the L1-filter → L2 → bus
 /// step chain inlines into one virtual-call-free loop. This is the
-/// hot path every sweep takes; results are bit-identical to the
-/// `Box<dyn CacheOrg>` wrappers (same construction, same schedule,
-/// same RNG draws), which the golden suite pins.
+/// hot path every sweep takes; results are bit-identical to
+/// [`run`] over [`build_org`]'s `Box<dyn CacheOrg>` (same
+/// construction, same schedule, same RNG draws).
 pub fn run_workload_mono<W: TraceSource>(workload: W, kind: OrgKind, cfg: &RunConfig) -> RunResult {
     run_workload_mono_with(workload, kind, cfg, &LatencyBook::paper(), cmp_mem::L2_TOTAL_BYTES)
 }
@@ -313,92 +334,35 @@ pub fn run_workload_mono_with<W: TraceSource>(
     book: &LatencyBook,
     l2_bytes: usize,
 ) -> RunResult {
-    let nurapid = |base: NurapidConfig| NurapidConfig {
-        cores: book.cores(),
-        dgroup_bytes: l2_bytes / book.cores().next_power_of_two(),
-        latencies: book.clone(),
-        ..base
-    };
-    match kind {
-        OrgKind::Shared => run_observed(
-            &mut System::new(workload, UniformShared::sized_shared(book, l2_bytes)),
-            cfg,
-        ),
-        OrgKind::Private => {
-            run_observed(&mut System::new(workload, PrivateMesi::sized(book, l2_bytes)), cfg)
-        }
-        OrgKind::Snuca => {
-            run_observed(&mut System::new(workload, Snuca::sized(book, l2_bytes)), cfg)
-        }
-        OrgKind::Dnuca => {
-            run_observed(&mut System::new(workload, Dnuca::sized(book, l2_bytes)), cfg)
-        }
-        OrgKind::Ideal => run_observed(
-            &mut System::new(workload, UniformShared::sized_ideal(book, l2_bytes)),
-            cfg,
-        ),
-        OrgKind::Nurapid => run_observed(
-            &mut System::new(workload, CmpNurapid::new(nurapid(NurapidConfig::paper()))),
-            cfg,
-        ),
-        OrgKind::NurapidCrOnly => run_observed(
-            &mut System::new(workload, CmpNurapid::new(nurapid(NurapidConfig::paper_cr_only()))),
-            cfg,
-        ),
-        OrgKind::NurapidIscOnly => run_observed(
-            &mut System::new(workload, CmpNurapid::new(nurapid(NurapidConfig::paper_isc_only()))),
-            cfg,
-        ),
-        OrgKind::Cnuca => {
-            run_observed(&mut System::new(workload, Cnuca::sized(book, l2_bytes)), cfg)
+    struct Run<'a, W> {
+        workload: W,
+        cfg: &'a RunConfig,
+    }
+    impl<W: TraceSource> OrgVisitor for Run<'_, W> {
+        type Out = RunResult;
+        fn visit<O: CacheOrg + 'static>(self, org: O) -> RunResult {
+            run(self.workload, org, self.cfg)
         }
     }
+    with_org(kind, book, l2_bytes, Run { workload, cfg })
 }
 
-/// Runs one multithreaded workload on one organization (via the
-/// monomorphized driver).
-pub fn try_run_multithreaded(
-    workload: &str,
-    kind: OrgKind,
-    cfg: &RunConfig,
-) -> Result<RunResult, SimError> {
-    Ok(run_workload_mono(try_multithreaded_workload(workload, cfg.seed)?, kind, cfg))
-}
-
-/// Runs one multithreaded workload on one organization.
+/// Runs `workload` on `org` through `cfg`'s warm-up and measurement
+/// phases. A concrete org runs monomorphized; a `Box<dyn CacheOrg>`
+/// (a custom configuration, such as the ablation studies build) runs
+/// through the same `System` loop at one virtual call per L2 access.
 ///
-/// # Panics
-///
-/// Panics on an unknown name; batch drivers should prefer
-/// [`try_run_multithreaded`].
-pub fn run_multithreaded(workload: &str, kind: OrgKind, cfg: &RunConfig) -> RunResult {
-    try_run_multithreaded(workload, kind, cfg).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Runs a custom organization against a named multithreaded workload
-/// (used by the ablation studies, which vary `NurapidConfig` beyond
-/// the stock [`OrgKind`] variants).
-pub fn try_run_multithreaded_custom(
-    workload: &str,
-    org: Box<dyn CacheOrg>,
-    cfg: &RunConfig,
-) -> Result<RunResult, SimError> {
-    let mut sys = System::new(try_multithreaded_workload(workload, cfg.seed)?, org);
-    Ok(run_observed(&mut sys, cfg))
-}
-
-/// Shared measured-run tail of both workload namespaces: one
-/// `sim.run` span and the `sim.*` aggregate counters around the
-/// actual simulation. Aggregates are added once per run, after it
-/// completes, so the per-access hot path carries no instrumentation
-/// of its own.
-fn run_observed<W: TraceSource, O: CacheOrg>(sys: &mut System<W, O>, cfg: &RunConfig) -> RunResult {
+/// Records one `sim.run` span and the `sim.*` aggregate counters.
+/// Aggregates are added once per run, after it completes, so the
+/// per-access hot path carries no instrumentation of its own.
+pub fn run<W: TraceSource, O: CacheOrg>(workload: W, org: O, cfg: &RunConfig) -> RunResult {
     static RUNS: cmp_obs::Counter = cmp_obs::Counter::new("sim.runs");
     static INSTRUCTIONS: cmp_obs::Counter = cmp_obs::Counter::new("sim.instructions");
     static ACCESSES: cmp_obs::Counter = cmp_obs::Counter::new("sim.accesses");
     static CYCLES: cmp_obs::Counter = cmp_obs::Counter::new("sim.cycles");
     static APPROX_RUNS: cmp_obs::Counter = cmp_obs::Counter::new("sim.approx.runs");
     static APPROX_EARLY: cmp_obs::Counter = cmp_obs::Counter::new("sim.approx.early_stops");
+    let mut sys = System::new(workload, org);
     let _span = cmp_obs::span!("sim.run");
     let result = if cfg.stop.is_fixed() {
         sys.run_measured(cfg.warmup_accesses, cfg.measure_accesses)
@@ -416,60 +380,6 @@ fn run_observed<W: TraceSource, O: CacheOrg>(sys: &mut System<W, O>, cfg: &RunCo
     ACCESSES.add(result.accesses);
     CYCLES.add(result.cycles);
     result
-}
-
-/// Runs a custom organization against a named multithreaded workload.
-///
-/// # Panics
-///
-/// Panics on an unknown name; batch drivers should prefer
-/// [`try_run_multithreaded_custom`].
-pub fn run_multithreaded_custom(
-    workload: &str,
-    org: Box<dyn CacheOrg>,
-    cfg: &RunConfig,
-) -> RunResult {
-    try_run_multithreaded_custom(workload, org, cfg).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Runs a custom organization against a Table 2 mix.
-pub fn try_run_mix_custom(
-    mix: &str,
-    org: Box<dyn CacheOrg>,
-    cfg: &RunConfig,
-) -> Result<RunResult, SimError> {
-    let workload =
-        MixWorkload::table2(mix, cfg.seed).ok_or_else(|| SimError::UnknownMix(mix.to_string()))?;
-    let mut sys = System::new(workload, org);
-    Ok(run_observed(&mut sys, cfg))
-}
-
-/// Runs a custom organization against a Table 2 mix.
-///
-/// # Panics
-///
-/// Panics on an unknown mix name; batch drivers should prefer
-/// [`try_run_mix_custom`].
-pub fn run_mix_custom(mix: &str, org: Box<dyn CacheOrg>, cfg: &RunConfig) -> RunResult {
-    try_run_mix_custom(mix, org, cfg).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Runs one Table 2 mix on one organization (via the monomorphized
-/// driver).
-pub fn try_run_mix(mix: &str, kind: OrgKind, cfg: &RunConfig) -> Result<RunResult, SimError> {
-    let workload =
-        MixWorkload::table2(mix, cfg.seed).ok_or_else(|| SimError::UnknownMix(mix.to_string()))?;
-    Ok(run_workload_mono(workload, kind, cfg))
-}
-
-/// Runs one Table 2 mix on one organization.
-///
-/// # Panics
-///
-/// Panics on an unknown mix name; batch drivers should prefer
-/// [`try_run_mix`].
-pub fn run_mix(mix: &str, kind: OrgKind, cfg: &RunConfig) -> RunResult {
-    try_run_mix(mix, kind, cfg).unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[cfg(test)]
@@ -502,15 +412,7 @@ mod tests {
             try_multithreaded_workload("tpch", 1).unwrap_err(),
             SimError::UnknownWorkload("tpch".into())
         );
-        let cfg = RunConfig::sized(10, 10, 1);
-        assert_eq!(
-            try_run_multithreaded("tpch", OrgKind::Private, &cfg).unwrap_err(),
-            SimError::UnknownWorkload("tpch".into())
-        );
-        assert_eq!(
-            try_run_mix("MIX9", OrgKind::Private, &cfg).unwrap_err(),
-            SimError::UnknownMix("MIX9".into())
-        );
+        assert_eq!(try_mix_workload("MIX9", 1).unwrap_err(), SimError::UnknownMix("MIX9".into()));
         assert_eq!(
             workload_by_name("nope", 1).unwrap_err(),
             SimError::UnknownWorkload("nope".into())
@@ -539,28 +441,19 @@ mod tests {
 
     #[test]
     fn sized_paths_match_paper_paths_at_paper_scale() {
-        // The sized constructors with the paper book and 8 MB must be
-        // the paper machine: same org identity, and a short run is
-        // bit-identical through both entry points.
+        // The boxed org, the monomorphized paper path and the sized
+        // path at the paper book and 8 MB are one machine: a short run
+        // is bit-identical through all three, for every organization.
         let book = LatencyBook::paper();
-        for kind in OrgKind::ALL {
-            let a = build_org(kind);
-            let b = build_org_sized(kind, &book, cmp_mem::L2_TOTAL_BYTES);
-            assert_eq!(a.name(), b.name());
-            assert_eq!(a.cores(), b.cores());
-        }
         let cfg = RunConfig::sized(500, 1_000, 7);
-        for kind in [OrgKind::Shared, OrgKind::Nurapid, OrgKind::Cnuca] {
-            let r1 = run_workload_mono(multithreaded_workload("barnes", cfg.seed), kind, &cfg);
-            let r2 = run_workload_mono_with(
-                multithreaded_workload("barnes", cfg.seed),
-                kind,
-                &cfg,
-                &book,
-                cmp_mem::L2_TOTAL_BYTES,
-            );
-            assert_eq!(r1.cycles, r2.cycles, "{} diverged", kind.name());
-            assert_eq!(r1.l2.accesses(), r2.l2.accesses());
+        let barnes = || multithreaded_workload("barnes", cfg.seed);
+        for kind in OrgKind::ALL {
+            let dyn_run = run(barnes(), build_org(kind), &cfg);
+            let mono = run_workload_mono(barnes(), kind, &cfg);
+            let sized =
+                run_workload_mono_with(barnes(), kind, &cfg, &book, cmp_mem::L2_TOTAL_BYTES);
+            assert_eq!(dyn_run, mono, "{}: dyn != mono", kind.name());
+            assert_eq!(mono, sized, "{}: mono != sized", kind.name());
         }
     }
 
@@ -607,7 +500,8 @@ mod tests {
     #[test]
     fn quick_run_produces_stats() {
         let cfg = RunConfig::sized(1_000, 2_000, 3);
-        let r = run_multithreaded("barnes", OrgKind::Private, &cfg);
+        let r =
+            run_workload_mono(multithreaded_workload("barnes", cfg.seed), OrgKind::Private, &cfg);
         assert_eq!(r.org, "private");
         assert_eq!(r.workload, "barnes");
         assert!(r.l2.accesses() > 0);
@@ -616,7 +510,7 @@ mod tests {
     #[test]
     fn mix_run_produces_stats() {
         let cfg = RunConfig::sized(1_000, 2_000, 3);
-        let r = run_mix("MIX4", OrgKind::Nurapid, &cfg);
+        let r = run(try_mix_workload("MIX4", cfg.seed).unwrap(), build_org(OrgKind::Nurapid), &cfg);
         assert_eq!(r.workload, "MIX4");
         assert!(r.ipc() > 0.0);
     }

@@ -10,8 +10,8 @@
 use nurapid_suite::cache::{CacheOrg, InvalScratch};
 use nurapid_suite::mem::CoreId;
 use nurapid_suite::nurapid::{CmpNurapid, NurapidConfig};
-use nurapid_suite::sim::{run_mix, OrgKind, RunConfig};
-use nurapid_suite::trace::{MixWorkload, TraceSource};
+use nurapid_suite::sim::{run_workload_mono, try_mix_workload, OrgKind, RunConfig};
+use nurapid_suite::trace::TraceSource;
 
 fn main() {
     let cfg = RunConfig::sized(400_000, 600_000, 9);
@@ -19,9 +19,10 @@ fn main() {
     // MIX3 pairs apsi and mcf (multi-MB footprints) with gzip and mesa
     // (far under their 2 MB shares) - Table 2's asymmetric case.
     println!("Running MIX3 (apsi, mcf, gzip, mesa) ...\n");
-    let shared = run_mix("MIX3", OrgKind::Shared, &cfg);
-    let private = run_mix("MIX3", OrgKind::Private, &cfg);
-    let nurapid = run_mix("MIX3", OrgKind::Nurapid, &cfg);
+    let mix3 = || try_mix_workload("MIX3", cfg.seed).expect("table 2 mix");
+    let shared = run_workload_mono(mix3(), OrgKind::Shared, &cfg);
+    let private = run_workload_mono(mix3(), OrgKind::Private, &cfg);
+    let nurapid = run_workload_mono(mix3(), OrgKind::Nurapid, &cfg);
 
     println!("relative performance vs uniform-shared:");
     println!("  private      {:+.1}%", (private.ipc() / shared.ipc() - 1.0) * 100.0);
@@ -37,7 +38,7 @@ fn main() {
     // Where does the data end up? Drive the cache directly (with a
     // small recent-blocks filter standing in for the L1) and read the
     // ownership map afterwards.
-    let mut workload = MixWorkload::table2("MIX3", cfg.seed).expect("table 2 mix");
+    let mut workload = mix3();
     let names: Vec<&str> = (0..4).map(|c| workload.app(CoreId(c)).name).collect();
     let mut l2 = CmpNurapid::new(NurapidConfig::paper());
     let mut bus = nurapid_suite::coherence::Bus::paper();

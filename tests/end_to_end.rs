@@ -6,17 +6,27 @@ use nurapid_suite::cache::{AccessClass, CacheOrg};
 use nurapid_suite::coherence::Bus;
 use nurapid_suite::mem::{AccessKind, BlockAddr, CoreId};
 use nurapid_suite::nurapid::{CmpNurapid, NurapidConfig};
-use nurapid_suite::sim::{run_mix, run_multithreaded, OrgKind, RunConfig};
+use nurapid_suite::sim::{
+    run_workload_mono, try_mix_workload, try_multithreaded_workload, OrgKind, RunConfig, RunResult,
+};
 
 fn quick() -> RunConfig {
     RunConfig::sized(15_000, 30_000, 0xE2E)
 }
 
+fn run_mt(workload: &str, kind: OrgKind, cfg: &RunConfig) -> RunResult {
+    run_workload_mono(try_multithreaded_workload(workload, cfg.seed).unwrap(), kind, cfg)
+}
+
+fn run_mix(mix: &str, kind: OrgKind, cfg: &RunConfig) -> RunResult {
+    run_workload_mono(try_mix_workload(mix, cfg.seed).unwrap(), kind, cfg)
+}
+
 #[test]
 fn ideal_always_beats_uniform_shared() {
     for wl in ["oltp", "barnes"] {
-        let shared = run_multithreaded(wl, OrgKind::Shared, &quick());
-        let ideal = run_multithreaded(wl, OrgKind::Ideal, &quick());
+        let shared = run_mt(wl, OrgKind::Shared, &quick());
+        let ideal = run_mt(wl, OrgKind::Ideal, &quick());
         assert!(
             ideal.ipc() > shared.ipc(),
             "{wl}: ideal {} vs shared {}",
@@ -32,7 +42,7 @@ fn ideal_always_beats_uniform_shared() {
 
 #[test]
 fn shared_cache_has_no_coherence_misses() {
-    let r = run_multithreaded("oltp", OrgKind::Shared, &quick());
+    let r = run_mt("oltp", OrgKind::Shared, &quick());
     assert_eq!(r.l2.miss_ros, 0);
     assert_eq!(r.l2.miss_rws, 0);
     assert!(r.l2.miss_capacity > 0);
@@ -40,7 +50,7 @@ fn shared_cache_has_no_coherence_misses() {
 
 #[test]
 fn private_caches_see_sharing_misses_on_commercial_workloads() {
-    let r = run_multithreaded("oltp", OrgKind::Private, &quick());
+    let r = run_mt("oltp", OrgKind::Private, &quick());
     assert!(r.l2.miss_ros > 0, "OLTP must produce read-only-sharing misses");
     assert!(r.l2.miss_rws > 0, "OLTP must produce read-write-sharing misses");
 }
@@ -48,8 +58,8 @@ fn private_caches_see_sharing_misses_on_commercial_workloads() {
 #[test]
 fn isc_cuts_rws_misses_versus_private() {
     let cfg = RunConfig::sized(40_000, 80_000, 0xE2E);
-    let private = run_multithreaded("oltp", OrgKind::Private, &cfg);
-    let nurapid = run_multithreaded("oltp", OrgKind::Nurapid, &cfg);
+    let private = run_mt("oltp", OrgKind::Private, &cfg);
+    let nurapid = run_mt("oltp", OrgKind::Nurapid, &cfg);
     let p = private.l2.class_fraction(AccessClass::MissRws).value();
     let n = nurapid.l2.class_fraction(AccessClass::MissRws).value();
     // At this (cold, small) scale the cut is partial; the paper-scale
@@ -59,7 +69,7 @@ fn isc_cuts_rws_misses_versus_private() {
 
 #[test]
 fn cr_performs_pointer_transfers_on_sharing_workloads() {
-    let r = run_multithreaded("apache", OrgKind::Nurapid, &quick());
+    let r = run_mt("apache", OrgKind::Nurapid, &quick());
     assert!(r.l2.pointer_transfers > 0, "CR must take tag-only copies");
 }
 
@@ -98,8 +108,8 @@ fn nurapid_steals_capacity_on_mixes() {
 
 #[test]
 fn whole_system_runs_are_deterministic() {
-    let a = run_multithreaded("specjbb", OrgKind::Nurapid, &quick());
-    let b = run_multithreaded("specjbb", OrgKind::Nurapid, &quick());
+    let a = run_mt("specjbb", OrgKind::Nurapid, &quick());
+    let b = run_mt("specjbb", OrgKind::Nurapid, &quick());
     assert_eq!(a.cycles, b.cycles);
     assert_eq!(a.instructions, b.instructions);
     assert_eq!(a.l2.hits(), b.l2.hits());
@@ -127,7 +137,7 @@ fn all_organizations_agree_on_workload_accesses() {
     // stream; total measured references must match.
     let counts: Vec<u64> = [OrgKind::Shared, OrgKind::Private, OrgKind::Nurapid]
         .iter()
-        .map(|k| run_multithreaded("barnes", *k, &quick()).accesses)
+        .map(|k| run_mt("barnes", *k, &quick()).accesses)
         .collect();
     // run-until-any semantics: totals are close but need not be
     // identical (faster orgs complete slightly different interleaves).
