@@ -11,7 +11,7 @@ use cmp_audit::{AuditConfig, AuditedOrg, FaultKind, FaultSpec, ReplayArtifact};
 use cmp_cache::{CacheOrg, Dnuca, InvalScratch, PrivateMesi, Snuca, UniformShared};
 use cmp_coherence::Bus;
 use cmp_latency::LatencyBook;
-use cmp_mem::{AccessKind, BlockAddr, CoreId};
+use cmp_mem::{AccessKind, BlockAddr, CoreId, Rng};
 use cmp_nurapid::{CmpNurapid, NurapidConfig};
 
 /// Drives a deterministic 4-core pattern that mixes a *rotating*
@@ -69,6 +69,36 @@ fn clean_run_reports_zero_violations_for_every_org() {
         );
         // End-of-run audit, explicitly.
         audited.audit().unwrap_or_else(|v| panic!("final {name} audit failed: {v}"));
+    }
+}
+
+/// Tag-fault injection rewrites a forward pointer (NuRAPID) or a
+/// MESI state (private), never residency, so the holder summary stays
+/// exact and the audit — which checks the summary first — still names
+/// only the fault's own invariants.
+#[test]
+fn tag_faults_trip_only_their_own_checks_on_both_snoopy_orgs() {
+    let book = LatencyBook::paper();
+    type Build = fn(&LatencyBook) -> Box<dyn CacheOrg>;
+    let cases: [(Build, &[&str]); 2] = [
+        (|_| nurapid(), &["forward-pointer-live", "forward-pointer-block"]),
+        (|book| Box::new(PrivateMesi::paper(book)), &["private-implies-sole-copy"]),
+    ];
+    for (build, expected) in cases {
+        for seed in 1..=8 {
+            let mut org = build(&book);
+            let mut bus = Bus::paper();
+            drive(org.as_mut(), &mut bus, 3_000);
+            assert_eq!(org.audit(), Ok(()), "{}: clean before the fault", org.name());
+            let desc = org.inject_tag_fault(&mut Rng::new(seed)).expect("a victim exists");
+            let v = org.audit().expect_err("the injected fault must be detected");
+            assert!(
+                expected.contains(&v.check),
+                "{} seed {seed}: {desc} tripped {:?}, expected one of {expected:?}",
+                org.name(),
+                v.check
+            );
+        }
     }
 }
 

@@ -8,17 +8,32 @@
 //! any violation makes the binary exit nonzero, so CI can use it as a
 //! correctness gate as well as a cost report.
 //!
+//! A second pass runs the committed 64-core spec
+//! (`scenarios/apache64.json`, its own pinned sizing) on the two
+//! organizations that snoop per-core tag arrays, so the holder
+//! summary and the MESI/MESIC checks are audited at the high core
+//! bits too.
+//!
 //! Usage: `audit [quick|paper|REFS]`
 
 use std::time::Instant;
 
-use cmp_bench::{config_from_args, ok_or_exit};
-use cmp_sim::{run_workload_audited, run_workload_mono, try_multithreaded_workload, OrgKind};
+use cmp_bench::{config_from_args, ok_or_exit, ScenarioSpec};
+use cmp_sim::{
+    build_org_sized, run_workload_audited, run_workload_mono, try_multithreaded_workload, OrgKind,
+};
 
-use cmp_audit::AuditConfig;
+use cmp_audit::{AuditConfig, AuditedOrg};
 
 const WORKLOAD: &str = "oltp";
 const AUDIT_EVERY: u64 = 1_024;
+
+/// The 64-core pass: every core shares one block pool.
+const SPEC64: &str = include_str!("../../../../scenarios/apache64.json");
+const ORGS64: [OrgKind; 2] = [OrgKind::Nurapid, OrgKind::Private];
+/// Its structural-audit cadence, in L2 accesses (the spec makes a few
+/// thousand).
+const AUDIT_EVERY64: u64 = 256;
 
 fn main() {
     let cfg = config_from_args();
@@ -75,13 +90,43 @@ fn main() {
             eprintln!("replay: {artifact}");
         }
     }
+    let spec = ok_or_exit(ScenarioSpec::parse_str(SPEC64));
+    let spec_cfg = spec.run_config(&cfg);
+    let mut rows64 = Vec::new();
+    for kind in ORGS64 {
+        let plain = spec.simulate(kind, &cfg);
+        let org = build_org_sized(kind, &spec.book(), spec.l2_bytes());
+        let audited =
+            AuditedOrg::new(org, AuditConfig::checking(AUDIT_EVERY64), &spec.name, spec_cfg.seed);
+        let log = audited.log();
+        let t0 = Instant::now();
+        let result = cmp_sim::run(spec.workload(spec_cfg.seed), audited, &spec_cfg);
+        let audited_ms = t0.elapsed().as_secs_f64() * 1e3;
+        assert_eq!(plain.cycles, result.cycles, "{} x64: audit changed timing", kind.name());
+        total_violations += log.len();
+        rows64.push(format!(
+            "    {{\"org\": \"{}\", \"audited_ms\": {audited_ms:.1}, \"l2_accesses\": {}, \
+             \"violations\": {}}}",
+            kind.name(),
+            result.l2.accesses(),
+            log.len(),
+        ));
+        for v in log.snapshot().iter() {
+            eprintln!("violation: {v}");
+        }
+    }
     println!(
         "{{\n  \"workload\": \"{WORKLOAD}\",\n  \"warmup\": {},\n  \"measure\": {},\n  \
-         \"seed\": {},\n  \"audit_every\": {AUDIT_EVERY},\n  \"orgs\": [\n{}\n  ]\n}}",
+         \"seed\": {},\n  \"audit_every\": {AUDIT_EVERY},\n  \"orgs\": [\n{}\n  ],\n  \
+         \"spec\": \"{}\",\n  \"spec_cores\": {},\n  \"spec_audit_every\": {AUDIT_EVERY64},\n  \
+         \"spec_orgs\": [\n{}\n  ]\n}}",
         cfg.warmup_accesses,
         cfg.measure_accesses,
         cfg.seed,
         rows.join(",\n"),
+        spec.name,
+        spec.cores,
+        rows64.join(",\n"),
     );
     if total_violations > 0 {
         eprintln!("{total_violations} violation(s) on a clean machine");

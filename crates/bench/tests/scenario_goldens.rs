@@ -9,6 +9,8 @@
 //!
 //! 1. The render must be byte-identical at 1, 2, and 8 lab threads —
 //!    the scheduling of the batch pool must never leak into results.
+//!    (The 64-core spec runs one degree, its own, over the three
+//!    snoopy-or-shared orgs at 1 and 2 threads, to stay fast.)
 //! 2. The 1-thread render must match the committed golden byte for
 //!    byte. The simulator is deterministic, so any drift is a real
 //!    behavioural change; if intended, regenerate with
@@ -26,6 +28,10 @@ use cmp_sim::{OrgKind, RunConfig};
 /// The organization axis every family sweeps.
 const ORGS: [OrgKind; 3] = [OrgKind::Shared, OrgKind::Nurapid, OrgKind::Cnuca];
 
+/// The 64-core spec's organization axis: the shared baseline and the
+/// two organizations that snoop per-core tag arrays.
+const SNOOPY_ORGS: [OrgKind; 3] = [OrgKind::Shared, OrgKind::Private, OrgKind::Nurapid];
+
 fn repo_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("..").join("..")
 }
@@ -39,15 +45,30 @@ fn degrees(cores: usize) -> Vec<usize> {
     (1..=cores).filter(|d| cores.is_multiple_of(*d)).collect()
 }
 
+/// The axes a spec file is swept over.
+struct Axes<'a> {
+    degrees: Vec<usize>,
+    orgs: &'a [OrgKind],
+    threads: &'a [usize],
+}
+
+impl Axes<'_> {
+    /// Every divisor of the core count, on [`ORGS`], at 1, 2 and 8
+    /// lab threads.
+    fn family(cores: usize) -> Axes<'static> {
+        Axes { degrees: degrees(cores), orgs: &ORGS, threads: &[1, 2, 8] }
+    }
+}
+
 /// Lowers one spec file into its family of (variant spec, org) pairs.
-fn family(base: &ScenarioSpec) -> Vec<(&'static spec::InternedSpec, OrgKind)> {
+fn family(base: &ScenarioSpec, axes: &Axes) -> Vec<(&'static spec::InternedSpec, OrgKind)> {
     let mut pairs = Vec::new();
-    for d in degrees(base.cores) {
+    for &d in &axes.degrees {
         let mut variant = base.clone();
         variant.sharing_degree = d;
         variant.name = format!("{}-deg{d}", base.name);
         let interned = spec::intern(&variant);
-        for org in ORGS {
+        for &org in axes.orgs {
             pairs.push((interned, org));
         }
     }
@@ -57,8 +78,8 @@ fn family(base: &ScenarioSpec) -> Vec<(&'static spec::InternedSpec, OrgKind)> {
 /// Renders the family's results as the snapshot text. Exact counts
 /// and derived ratios both go in: the gate is byte identity, not a
 /// tolerance band, because every run is a pure function of the spec.
-fn render(base: &ScenarioSpec, lab: &mut Lab) -> String {
-    let members = family(base);
+fn render(base: &ScenarioSpec, axes: &Axes, lab: &mut Lab) -> String {
+    let members = family(base, axes);
     let pairs: Vec<Pair> = members.iter().map(|&(s, o)| (WorkloadId::Spec(s), o)).collect();
     lab.prefetch(&pairs).expect("scenario family must simulate");
 
@@ -85,7 +106,7 @@ fn render(base: &ScenarioSpec, lab: &mut Lab) -> String {
     format!("{out}\n")
 }
 
-fn check_family(spec_file: &str, golden_name: &str) {
+fn check_family(spec_file: &str, golden_name: &str, axes: impl FnOnce(usize) -> Axes<'static>) {
     let base = ScenarioSpec::from_file(repo_root().join("scenarios").join(spec_file))
         .expect("committed spec file must parse");
     // The spec files pin their own sizing and seed, so the lab's
@@ -96,12 +117,14 @@ fn check_family(spec_file: &str, golden_name: &str) {
         base.warmup_accesses.is_some() && base.measure_accesses.is_some() && base.seed.is_some(),
         "{spec_file}: golden-snapshotted specs must pin warmup/measure/seed"
     );
+    let axes = axes(base.cores);
 
-    let renders: Vec<(usize, String)> = [1usize, 2, 8]
-        .into_iter()
-        .map(|threads| {
+    let renders: Vec<(usize, String)> = axes
+        .threads
+        .iter()
+        .map(|&threads| {
             let mut lab = Lab::with_threads(defaults, threads);
-            (threads, render(&base, &mut lab))
+            (threads, render(&base, &axes, &mut lab))
         })
         .collect();
     for (threads, text) in &renders[1..] {
@@ -135,10 +158,21 @@ fn check_family(spec_file: &str, golden_name: &str) {
 
 #[test]
 fn web8_family_matches_golden_across_thread_counts() {
-    check_family("web8.json", "web8");
+    check_family("web8.json", "web8", Axes::family);
 }
 
 #[test]
 fn sci16_family_matches_golden_across_thread_counts() {
-    check_family("sci16.toml", "sci16");
+    check_family("sci16.toml", "sci16", Axes::family);
+}
+
+/// The one golden above 16 cores: every core shares the block pool,
+/// so snoops find holders across all 64 tag arrays, core 63 included.
+#[test]
+fn apache64_matches_golden_on_snoopy_orgs() {
+    check_family("apache64.json", "apache64", |cores| Axes {
+        degrees: vec![cores],
+        orgs: &SNOOPY_ORGS,
+        threads: &[1, 2],
+    });
 }

@@ -10,6 +10,9 @@
 //! * [`tag_array`] — a generic set-associative tag array with
 //!   pluggable per-entry payloads and caller-controlled victim
 //!   selection;
+//! * [`holders`] — the per-core tag arrays of a snoopy organization
+//!   behind a holder summary, so a snoop looks up only the cores that
+//!   may hold the block;
 //! * [`org`] — the [`CacheOrg`] trait the system simulator drives,
 //!   plus the access classification ([`AccessClass`]) and statistics
 //!   ([`OrgStats`]) shared by every organization; the trait also
@@ -32,6 +35,7 @@
 
 pub mod cnuca;
 pub mod dnuca;
+pub mod holders;
 pub mod lru;
 pub mod org;
 pub mod private_mesi;
@@ -42,6 +46,7 @@ pub mod violation;
 
 pub use cnuca::Cnuca;
 pub use dnuca::Dnuca;
+pub use holders::CoreTags;
 pub use org::{AccessClass, AccessResponse, CacheOrg, CollectedResponse, InvalScratch, OrgStats};
 pub use private_mesi::PrivateMesi;
 pub use shared::UniformShared;

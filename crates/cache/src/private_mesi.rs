@@ -18,8 +18,8 @@ use cmp_coherence::{Bus, BusTx, SnoopSignals};
 use cmp_latency::LatencyBook;
 use cmp_mem::{AccessKind, BlockAddr, CacheGeometry, CoreId, Cycle, Rng};
 
+use crate::holders::CoreTags;
 use crate::org::{AccessClass, AccessResponse, CacheOrg, InvalScratch, OrgStats};
-use crate::tag_array::TagArray;
 use crate::violation::Violation;
 
 /// How a block originally entered a private cache (for Figure 7).
@@ -58,11 +58,15 @@ struct PrivEntry {
 /// assert_eq!(hit.latency, 10);
 /// ```
 pub struct PrivateMesi {
-    arrays: Vec<TagArray<PrivEntry>>,
+    arrays: CoreTags<PrivEntry>,
     tag_latency: Cycle,
     hit_latency: Cycle,
     memory_latency: Cycle,
     stats: OrgStats,
+    /// The remote holders of the block in flight, as `(core, set,
+    /// way)` in core order: gathered once per bus transaction, read
+    /// by the snoop wires and then by the snoop itself.
+    remotes: Vec<(CoreId, usize, usize)>,
 }
 
 impl PrivateMesi {
@@ -77,11 +81,12 @@ impl PrivateMesi {
     ) -> Self {
         assert!(cores > 0, "at least one core required");
         PrivateMesi {
-            arrays: (0..cores).map(|_| TagArray::new(geom)).collect(),
+            arrays: CoreTags::new(cores, geom),
             tag_latency,
             hit_latency,
             memory_latency,
             stats: OrgStats::default(),
+            remotes: Vec::with_capacity(cores),
         }
     }
 
@@ -108,51 +113,43 @@ impl PrivateMesi {
 
     /// MESI state of `block` in `core`'s cache (test/diagnostic hook).
     pub fn state_of(&self, core: CoreId, block: BlockAddr) -> MesiState {
-        let arr = &self.arrays[core.index()];
-        arr.lookup(block)
-            .and_then(|way| arr.entry(arr.set_of(block), way))
+        self.arrays
+            .lookup(core, block)
+            .and_then(|(set, way)| self.arrays.entry(core, set, way))
             .map_or(MesiState::Invalid, |e| e.payload.state)
     }
 
-    /// Snoop signals as sampled by `requestor` for `block`.
-    fn signals_for(&self, requestor: CoreId, block: BlockAddr) -> SnoopSignals {
+    /// Gathers every core other than `requestor` holding `block` into
+    /// `remotes`.
+    fn gather_remotes(&mut self, requestor: CoreId, block: BlockAddr) {
+        self.remotes.clear();
+        self.remotes.extend(self.arrays.holders(block).filter(|(c, _, _)| *c != requestor));
+    }
+
+    /// Snoop signals of the gathered remote holders.
+    fn signals(&self) -> SnoopSignals {
         let mut sig = SnoopSignals::NONE;
-        for (i, arr) in self.arrays.iter().enumerate() {
-            if i == requestor.index() {
-                continue;
-            }
-            if let Some(way) = arr.lookup(block) {
-                let state =
-                    arr.entry(arr.set_of(block), way).expect("looked-up entry").payload.state;
-                if state.is_valid() {
-                    sig.shared = true;
-                    if state.is_dirty() {
-                        sig.dirty = true;
-                    }
+        for &(c, set, way) in &self.remotes {
+            let state = self.arrays.entry(c, set, way).expect("looked-up entry").payload.state;
+            if state.is_valid() {
+                sig.shared = true;
+                if state.is_dirty() {
+                    sig.dirty = true;
                 }
             }
         }
         sig
     }
 
-    /// Applies snoop transitions at every remote core; returns whether
-    /// any remote cache supplied the block.
-    fn snoop_remotes(
-        &mut self,
-        requestor: CoreId,
-        block: BlockAddr,
-        tx: BusTx,
-        inv: &mut InvalScratch,
-    ) -> bool {
+    /// Applies snoop transitions at every gathered remote holder;
+    /// returns whether any remote cache supplied the block. Each
+    /// transition changes only its own core's array, so the gathered
+    /// positions stay valid throughout.
+    fn snoop_remotes(&mut self, block: BlockAddr, tx: BusTx, inv: &mut InvalScratch) -> bool {
         let mut supplied = false;
-        for i in 0..self.arrays.len() {
-            if i == requestor.index() {
-                continue;
-            }
-            let arr = &mut self.arrays[i];
-            let Some(way) = arr.lookup(block) else { continue };
-            let set = arr.set_of(block);
-            let state = arr.entry(set, way).expect("looked-up entry").payload.state;
+        for i in 0..self.remotes.len() {
+            let (c, set, way) = self.remotes[i];
+            let state = self.arrays.entry(c, set, way).expect("looked-up entry").payload.state;
             let (next, reply) = mesi::snoop(state, tx);
             if reply.flush {
                 supplied = true;
@@ -162,15 +159,16 @@ impl PrivateMesi {
                 }
             }
             if next == MesiState::Invalid {
-                let (_, payload) = arr.evict(set, way).expect("invalidated entry present");
+                let (_, payload) =
+                    self.arrays.evict(c, set, way).expect("invalidated entry present");
                 if payload.fill == FillClass::Rws {
                     self.stats.rws_reuse.record(payload.reuse);
                 }
             } else {
-                arr.entry_mut(set, way).expect("looked-up entry").payload.state = next;
+                self.arrays.entry_mut(c, set, way).expect("looked-up entry").payload.state = next;
             }
             if reply.invalidate_l1 {
-                inv.push(CoreId(i as u8), block);
+                inv.push(c, block);
             }
         }
         supplied
@@ -179,10 +177,10 @@ impl PrivateMesi {
     /// Makes room in `core`'s cache for `block`; returns the L1
     /// inclusion invalidation if a valid victim was evicted.
     fn evict_victim(&mut self, core: CoreId, block: BlockAddr) -> Option<(CoreId, BlockAddr)> {
-        let arr = &mut self.arrays[core.index()];
+        let arr = self.arrays.array(core);
         let set = arr.set_of(block);
         let way = arr.victim_by(set, |e| u32::from(e.is_some()));
-        let (victim_block, payload) = arr.evict(set, way)?;
+        let (victim_block, payload) = self.arrays.evict(core, set, way)?;
         if payload.state.is_dirty() {
             self.stats.writebacks += 1;
         }
@@ -230,7 +228,7 @@ impl CacheOrg for PrivateMesi {
         inv: &mut InvalScratch,
     ) -> Result<AccessResponse, Violation> {
         inv.begin();
-        let arr = &self.arrays[core.index()];
+        let arr = self.arrays.array(core);
         let set = arr.set_of(block);
         let hit_way = arr.lookup(block);
         let mut resp;
@@ -246,19 +244,20 @@ impl CacheOrg for PrivateMesi {
                 latency = self.tag_latency
                     + grant.stall_from(now)
                     + (self.hit_latency - self.tag_latency);
-                self.snoop_remotes(core, block, tx, inv);
+                self.gather_remotes(core, block);
+                self.snoop_remotes(block, tx, inv);
             }
             resp.latency = latency;
-            let arr = &mut self.arrays[core.index()];
-            arr.touch(set, way);
-            let entry = arr.entry_mut(set, way).expect("hit entry");
+            self.arrays.touch(core, set, way);
+            let entry = self.arrays.entry_mut(core, set, way).expect("hit entry");
             entry.payload.state = action.next;
             entry.payload.reuse += 1;
         } else {
             // Miss: sample snoop wires (through the bus, so the audit
             // harness's fault plan can tamper with them), classify,
             // transact, fill.
-            let signals = bus.sample_signals(self.signals_for(core, block));
+            self.gather_remotes(core, block);
+            let signals = bus.sample_signals(self.signals());
             let class = if signals.dirty {
                 AccessClass::MissRws
             } else if signals.shared {
@@ -270,7 +269,7 @@ impl CacheOrg for PrivateMesi {
             let action = mesi::processor_access(MesiState::Invalid, kind, signals);
             let tx = action.bus.expect("misses always use the bus");
             let grant = bus.transact(tx, now);
-            let supplied = self.snoop_remotes(core, block, tx, inv);
+            let supplied = self.snoop_remotes(block, tx, inv);
             // Consistency of the sampled wires against what the snoop
             // actually did. On BusRd every valid remote copy flushes,
             // so `shared` and `supplied` must agree; on BusRdX a dirty
@@ -303,10 +302,16 @@ impl CacheOrg for PrivateMesi {
                 AccessClass::MissRws => FillClass::Rws,
                 _ => FillClass::Demand,
             };
-            let arr = &mut self.arrays[core.index()];
+            let arr = self.arrays.array(core);
             let way = arr.victim_by(set, |e| u32::from(e.is_some()));
             debug_assert!(arr.entry(set, way).is_none(), "victim slot was vacated");
-            arr.fill(set, way, block, PrivEntry { state: action.next, reuse: 0, fill });
+            self.arrays.fill(
+                core,
+                set,
+                way,
+                block,
+                PrivEntry { state: action.next, reuse: 0, fill },
+            );
         }
         self.stats.l1_invalidations += inv.len() as u64;
         self.stats.record_class(resp.class);
@@ -322,18 +327,19 @@ impl CacheOrg for PrivateMesi {
     }
 
     fn cores(&self) -> usize {
-        self.arrays.len()
+        self.arrays.cores()
     }
 
     fn audit(&self) -> Result<(), Violation> {
+        self.arrays.check_summary()?;
         // MESI structural redundancy: per block, at most one dirty
         // copy, and a private-state (M/E) copy is the *only* copy.
         let mut holders: std::collections::HashMap<BlockAddr, Vec<(CoreId, MesiState)>> =
             std::collections::HashMap::new();
-        for (i, arr) in self.arrays.iter().enumerate() {
+        for (core, arr) in self.arrays.arrays() {
             for (_, _, block, e) in arr.iter_all() {
                 if e.state.is_valid() {
-                    holders.entry(block).or_default().push((CoreId(i as u8), e.state));
+                    holders.entry(block).or_default().push((core, e.state));
                 }
             }
         }
@@ -367,11 +373,11 @@ impl CacheOrg for PrivateMesi {
         let mut shared: Vec<(CoreId, BlockAddr)> = Vec::new();
         let mut count: std::collections::HashMap<BlockAddr, usize> =
             std::collections::HashMap::new();
-        for (i, arr) in self.arrays.iter().enumerate() {
+        for (core, arr) in self.arrays.arrays() {
             for (_, _, block, e) in arr.iter_all() {
                 if e.state.is_valid() {
                     *count.entry(block).or_default() += 1;
-                    shared.push((CoreId(i as u8), block));
+                    shared.push((core, block));
                 }
             }
         }
@@ -380,10 +386,8 @@ impl CacheOrg for PrivateMesi {
             return None;
         }
         let (core, block) = shared[rng.gen_index(shared.len())];
-        let arr = &mut self.arrays[core.index()];
-        let set = arr.set_of(block);
-        let way = arr.lookup(block)?;
-        arr.entry_mut(set, way)?.payload.state = MesiState::Modified;
+        let (set, way) = self.arrays.lookup(core, block)?;
+        self.arrays.entry_mut(core, set, way)?.payload.state = MesiState::Modified;
         Some(format!("forced {core} copy of {block} to Modified alongside other sharers"))
     }
 }
@@ -391,8 +395,8 @@ impl CacheOrg for PrivateMesi {
 impl std::fmt::Debug for PrivateMesi {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PrivateMesi")
-            .field("cores", &self.arrays.len())
-            .field("occupied", &self.arrays.iter().map(TagArray::len).sum::<usize>())
+            .field("cores", &self.arrays.cores())
+            .field("occupied", &self.arrays.len())
             .finish()
     }
 }
@@ -535,9 +539,24 @@ mod tests {
     }
 
     #[test]
+    fn audit_flags_a_corrupted_holder_summary() {
+        let (mut l2, mut bus) = paper_private();
+        rd(&mut l2, &mut bus, 0, 9);
+        rd(&mut l2, &mut bus, 2, 9);
+        assert_eq!(l2.audit(), Ok(()));
+        // Drop every holder bit: both resident copies lose theirs.
+        l2.arrays.summary.iter_mut().for_each(|m| *m = 0);
+        let v = l2.audit().unwrap_err();
+        assert_eq!(
+            (v.check, v.core, v.block),
+            ("holder-summary-exact", Some(CoreId(0)), Some(BlockAddr(9)))
+        );
+    }
+
+    #[test]
     fn capacity_is_2mb_per_core() {
         let l2 = PrivateMesi::paper(&LatencyBook::paper());
-        assert_eq!(l2.arrays[0].geometry().capacity_bytes(), 2 * 1024 * 1024);
+        assert_eq!(l2.arrays.array(CoreId(0)).geometry().capacity_bytes(), 2 * 1024 * 1024);
         assert_eq!(l2.cores(), 4);
     }
 }

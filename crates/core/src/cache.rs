@@ -11,7 +11,7 @@ mod invariants;
 mod replace;
 
 use cmp_cache::{
-    AccessClass, AccessResponse, CacheOrg, InvalScratch, OrgStats, TagArray, Violation,
+    AccessClass, AccessResponse, CacheOrg, CoreTags, InvalScratch, OrgStats, Violation,
 };
 use cmp_coherence::mesic::MesicState;
 use cmp_coherence::{Bus, BusTx, SnoopSignals};
@@ -21,13 +21,12 @@ use crate::config::NurapidConfig;
 use crate::data_array::{DGroupId, DataArray, FrameRef, TagRef};
 use crate::ranking::DGroupRanking;
 
-/// Payload of one CMP-NuRAPID tag entry: MESIC state, the forward
-/// pointer into the data array, and a reuse counter.
+/// Payload of one CMP-NuRAPID tag entry: MESIC state and the forward
+/// pointer into the data array (12 bytes per tag slot).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct NuEntry {
     pub(crate) state: MesicState,
     pub(crate) fwd: FrameRef,
-    pub(crate) reuse: u64,
 }
 
 /// Counts one tag entry's transition into the Communication state.
@@ -43,7 +42,7 @@ fn count_c_join() {
 pub struct CmpNurapid {
     pub(crate) cfg: NurapidConfig,
     pub(crate) ranking: DGroupRanking,
-    pub(crate) tags: Vec<TagArray<NuEntry>>,
+    pub(crate) tags: CoreTags<NuEntry>,
     pub(crate) data: DataArray,
     pub(crate) rng: Rng,
     pub(crate) stats: OrgStats,
@@ -73,7 +72,7 @@ impl CmpNurapid {
         };
         CmpNurapid {
             ranking,
-            tags: (0..cfg.cores).map(|_| TagArray::new(tag_geom)).collect(),
+            tags: CoreTags::new(cfg.cores, tag_geom),
             data: DataArray::new(cfg.cores, cfg.frames_per_dgroup()),
             rng: Rng::new(cfg.seed),
             stats: OrgStats::default(),
@@ -150,16 +149,15 @@ impl CmpNurapid {
     }
 
     pub(crate) fn lookup(&self, core: CoreId, block: BlockAddr) -> Option<(usize, usize)> {
-        let arr = &self.tags[core.index()];
-        arr.lookup(block).map(|way| (arr.set_of(block), way))
+        self.tags.lookup(core, block)
     }
 
     pub(crate) fn entry(&self, core: CoreId, set: usize, way: usize) -> &NuEntry {
-        &self.tags[core.index()].entry(set, way).expect("entry present").payload
+        &self.tags.entry(core, set, way).expect("entry present").payload
     }
 
     pub(crate) fn entry_mut(&mut self, core: CoreId, set: usize, way: usize) -> &mut NuEntry {
-        &mut self.tags[core.index()].entry_mut(set, way).expect("entry present").payload
+        &mut self.tags.entry_mut(core, set, way).expect("entry present").payload
     }
 
     pub(crate) fn tag_ref(&self, core: CoreId, set: usize, way: usize) -> TagRef {
@@ -180,17 +178,15 @@ impl CmpNurapid {
     /// Snoop signals for `block` as sampled by `requestor`.
     pub(crate) fn signals_for(&self, requestor: CoreId, block: BlockAddr) -> SnoopSignals {
         let mut sig = SnoopSignals::NONE;
-        for c in CoreId::all(self.cfg.cores) {
+        for (c, set, way) in self.tags.holders(block) {
             if c == requestor {
                 continue;
             }
-            if let Some((set, way)) = self.lookup(c, block) {
-                let st = self.entry(c, set, way).state;
-                if st.is_valid() {
-                    sig.shared = true;
-                    if st.is_dirty() {
-                        sig.dirty = true;
-                    }
+            let st = self.entry(c, set, way).state;
+            if st.is_valid() {
+                sig.shared = true;
+                if st.is_dirty() {
+                    sig.dirty = true;
                 }
             }
         }
@@ -200,7 +196,7 @@ impl CmpNurapid {
     /// Whether any core other than `requestor` holds a tag entry for
     /// `block`.
     fn has_other_holder(&self, requestor: CoreId, block: BlockAddr) -> bool {
-        CoreId::all(self.cfg.cores).any(|c| c != requestor && self.lookup(c, block).is_some())
+        self.tags.holders(block).any(|(c, _, _)| c != requestor)
     }
 
     /// Calls `f` with `(core, set, way)` for every core other than
@@ -215,11 +211,7 @@ impl CmpNurapid {
     ) {
         let mut holders = std::mem::take(&mut self.holders);
         holders.clear();
-        holders.extend(
-            CoreId::all(self.cfg.cores)
-                .filter(|c| *c != requestor)
-                .filter_map(|c| self.lookup(c, block).map(|(s, w)| (c, s, w))),
-        );
+        holders.extend(self.tags.holders(block).filter(|(c, _, _)| *c != requestor));
         for &(c, s, w) in &holders {
             f(self, c, s, w);
         }
@@ -229,15 +221,17 @@ impl CmpNurapid {
     /// The data copy of `block` cheapest for `requestor` to reach
     /// (several may exist under replication).
     pub(crate) fn nearest_copy(&self, requestor: CoreId, block: BlockAddr) -> Option<FrameRef> {
-        CoreId::all(self.cfg.cores)
-            .filter_map(|c| self.lookup(c, block).map(|(s, w)| self.entry(c, s, w).fwd))
+        self.tags
+            .holders(block)
+            .map(|(c, s, w)| self.entry(c, s, w).fwd)
             .min_by_key(|f| self.dlat(requestor, f.group))
     }
 
     /// The single dirty data copy of `block` (M or C holder's frame).
     pub(crate) fn dirty_frame(&self, block: BlockAddr) -> Option<FrameRef> {
-        CoreId::all(self.cfg.cores)
-            .filter_map(|c| self.lookup(c, block).map(|(s, w)| self.entry(c, s, w)))
+        self.tags
+            .holders(block)
+            .map(|(c, s, w)| self.entry(c, s, w))
             .find(|e| e.state.is_dirty())
             .map(|e| e.fwd)
     }
@@ -271,11 +265,7 @@ impl CmpNurapid {
             self.stats.c_collapses += 1;
         }
         let fwd = self.entry(core, set, way).fwd;
-        self.tags[core.index()].touch(set, way);
-        {
-            let e = self.entry_mut(core, set, way);
-            e.reuse += 1;
-        }
+        self.tags.touch(core, set, way);
         let base = self.tag_lat() + self.dlat(core, fwd.group);
         resp.class = AccessClass::Hit { closest: fwd.group == closest };
         resp.latency = base;
@@ -329,7 +319,7 @@ impl CmpNurapid {
                             this.data.free(their_fwd);
                         }
                     }
-                    this.tags[c.index()].evict(s, w);
+                    this.tags.evict(c, s, w);
                     inv.push(c, block);
                 });
                 self.entry_mut(core, set, way).state = MesicState::Modified;
@@ -406,11 +396,12 @@ impl CmpNurapid {
                     inv.push(c, block);
                 });
                 count_c_join();
-                self.tags[core.index()].fill(
+                self.tags.fill(
+                    core,
                     set,
                     way,
                     block,
-                    NuEntry { state: MesicState::Communication, fwd: src, reuse: 0 },
+                    NuEntry { state: MesicState::Communication, fwd: src },
                 );
                 resp.writethrough = true;
             } else {
@@ -432,11 +423,12 @@ impl CmpNurapid {
                     inv.push(c, block);
                 });
                 count_c_join();
-                self.tags[core.index()].fill(
+                self.tags.fill(
+                    core,
                     set,
                     way,
                     block,
-                    NuEntry { state: MesicState::Communication, fwd: nf, reuse: 0 },
+                    NuEntry { state: MesicState::Communication, fwd: nf },
                 );
                 resp.writethrough = true;
             }
@@ -473,7 +465,7 @@ impl CmpNurapid {
         self.ensure_free_frame(core, closest, bus, now, inv);
         let nf = self.data.alloc(closest, block, my_tag);
         let state = if kind.is_write() { MesicState::Modified } else { MesicState::Exclusive };
-        self.tags[core.index()].fill(set, way, block, NuEntry { state, fwd: nf, reuse: 0 });
+        self.tags.fill(core, set, way, block, NuEntry { state, fwd: nf });
         Ok(())
     }
 
@@ -519,17 +511,12 @@ impl CmpNurapid {
                 {
                     this.data.free(their_fwd);
                 }
-                this.tags[c.index()].evict(s, w);
+                this.tags.evict(c, s, w);
                 inv.push(c, block);
             });
             self.ensure_free_frame(core, closest, bus, now, inv);
             let nf = self.data.alloc(closest, block, my_tag);
-            self.tags[core.index()].fill(
-                set,
-                way,
-                block,
-                NuEntry { state: MesicState::Modified, fwd: nf, reuse: 0 },
-            );
+            self.tags.fill(core, set, way, block, NuEntry { state: MesicState::Modified, fwd: nf });
             return Ok(());
         }
         // Read: demote remote E holders to S.
@@ -545,12 +532,7 @@ impl CmpNurapid {
             // CR first use: tag copy only, pointing at the existing
             // data (the pointer return of Figure 3b).
             self.stats.pointer_transfers += 1;
-            self.tags[core.index()].fill(
-                set,
-                way,
-                block,
-                NuEntry { state: MesicState::Shared, fwd: src, reuse: 0 },
-            );
+            self.tags.fill(core, set, way, block, NuEntry { state: MesicState::Shared, fwd: src });
         } else {
             // Uncontrolled replication: copy the data eagerly, like a
             // private cache would.
@@ -558,12 +540,7 @@ impl CmpNurapid {
             self.ensure_free_frame(core, closest, bus, now, inv);
             let nf = self.data.alloc(closest, block, my_tag);
             self.stats.replications += 1;
-            self.tags[core.index()].fill(
-                set,
-                way,
-                block,
-                NuEntry { state: MesicState::Shared, fwd: nf, reuse: 0 },
-            );
+            self.tags.fill(core, set, way, block, NuEntry { state: MesicState::Shared, fwd: nf });
         }
         Ok(())
     }
@@ -604,8 +581,10 @@ impl CmpNurapid {
     /// `forward-pointer-block`). Returns a description of the
     /// corruption, or `None` when no entry is resident yet.
     pub fn inject_tag_fault(&mut self, rng: &mut Rng) -> Option<String> {
-        let entries: Vec<(CoreId, usize, usize, BlockAddr)> = CoreId::all(self.cfg.cores)
-            .flat_map(|c| self.tags[c.index()].iter_all().map(move |(s, w, b, _)| (c, s, w, b)))
+        let entries: Vec<(CoreId, usize, usize, BlockAddr)> = self
+            .tags
+            .arrays()
+            .flat_map(|(c, arr)| arr.iter_all().map(move |(s, w, b, _)| (c, s, w, b)))
             .collect();
         if entries.is_empty() {
             return None;
@@ -687,7 +666,20 @@ impl std::fmt::Debug for CmpNurapid {
         f.debug_struct("CmpNurapid")
             .field("cores", &self.cfg.cores)
             .field("frames_per_dgroup", &self.cfg.frames_per_dgroup())
-            .field("tag_entries", &self.tags.iter().map(TagArray::len).sum::<usize>())
+            .field("tag_entries", &self.tags.len())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_tag_slot_costs_twelve_bytes() {
+        // State plus forward pointer, with the vacant-slot `None` in
+        // the state's niche: the budget the holder summary is paid
+        // from.
+        assert_eq!(std::mem::size_of::<Option<cmp_cache::tag_array::Entry<NuEntry>>>(), 12);
     }
 }

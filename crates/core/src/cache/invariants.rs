@@ -31,11 +31,15 @@ impl CmpNurapid {
     ///    holds the block.
     /// 5. **S sharers point at live S copies**: every frame holding
     ///    the block is owned by a tag in state S.
+    ///
+    /// Before these, the tag arrays' holder summary must match their
+    /// contents (`holder-summary-exact`, see [`cmp_cache::CoreTags`]).
     pub fn try_check_invariants(&self) -> Result<(), Violation> {
+        self.tags.check_summary()?;
         let mut entries_by_block: HashMap<BlockAddr, Vec<(CoreId, usize, usize)>> = HashMap::new();
         // 1. tag -> frame.
-        for c in CoreId::all(self.cfg.cores) {
-            for (set, way, block, entry) in self.tags[c.index()].iter_all() {
+        for (c, arr) in self.tags.arrays() {
+            for (set, way, block, entry) in arr.iter_all() {
                 if !entry.state.is_valid() {
                     return Err(Violation::at(
                         "resident-entry-valid",
@@ -70,7 +74,7 @@ impl CmpNurapid {
         // 2. frame -> tag.
         for (fref, frame) in self.data.iter_occupied() {
             let o = frame.owner;
-            let arr = &self.tags[o.core.index()];
+            let arr = self.tags.array(o.core);
             let owner_block = arr.block_at(o.set as usize, o.way as usize);
             if owner_block != Some(frame.block) {
                 return Err(Violation::on_block(

@@ -25,7 +25,7 @@ impl CmpNurapid {
         now: Cycle,
         inv: &mut InvalScratch,
     ) -> (usize, usize, Option<DGroupId>) {
-        let arr = &self.tags[core.index()];
+        let arr = self.tags.array(core);
         let set = arr.set_of(block);
         let way = arr.victim_by(set, |e| match e {
             None => 0,
@@ -33,7 +33,7 @@ impl CmpNurapid {
             Some(_) => 2,
         });
         let mut hole = None;
-        if let Some(victim_block) = self.tags[core.index()].block_at(set, way) {
+        if let Some(victim_block) = self.tags.array(core).block_at(set, way) {
             let entry = *self.entry(core, set, way);
             let my_tag = self.tag_ref(core, set, way);
             if self.data.frame(entry.fwd).owner == my_tag {
@@ -43,13 +43,13 @@ impl CmpNurapid {
                 hole = Some(entry.fwd.group);
                 self.evict_frame(entry.fwd, bus, now, inv);
                 debug_assert!(
-                    self.tags[core.index()].block_at(set, way).is_none(),
+                    self.tags.array(core).block_at(set, way).is_none(),
                     "evict_frame must drop the owner tag"
                 );
             } else {
                 // Non-owner sharer: drop only the tag; the data stays
                 // for the other sharers (Section 3.3.2).
-                self.tags[core.index()].evict(set, way);
+                self.tags.evict(core, set, way);
                 inv.push(core, victim_block);
             }
         }
@@ -74,10 +74,11 @@ impl CmpNurapid {
             if owner_state == MesicState::Communication {
                 self.stats.writebacks += 1;
             }
-            for c in CoreId::all(self.cfg.cores) {
+            // A copy of the candidate mask: the walk evicts as it goes.
+            for c in self.tags.candidates(f.block) {
                 if let Some((s, w)) = self.lookup(c, f.block) {
                     if self.entry(c, s, w).fwd == frame {
-                        self.tags[c.index()].evict(s, w);
+                        self.tags.evict(c, s, w);
                         inv.push(c, f.block);
                         self.stats.busrepl_invalidations += 1;
                     }
@@ -88,7 +89,7 @@ impl CmpNurapid {
             if owner_state == MesicState::Modified {
                 self.stats.writebacks += 1;
             }
-            self.tags[f.owner.core.index()].evict(f.owner.set as usize, f.owner.way as usize);
+            self.tags.evict(f.owner.core, f.owner.set as usize, f.owner.way as usize);
             inv.push(f.owner.core, f.block);
             self.stats.evictions_private += 1;
         }
