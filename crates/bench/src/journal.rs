@@ -584,7 +584,10 @@ mod tests {
         torn.extend_from_slice(&half);
         std::fs::write(&path, &torn).unwrap();
 
+        let capture = cmp_obs::Capture::install();
         let (j, restored) = Journal::open(&path, &tiny_cfg()).unwrap();
+        assert!(capture.contains("dropping torn tail"), "{:?}", capture.lines());
+        drop(capture);
         assert_eq!(restored.len(), 1, "the intact record survives");
         assert_eq!(j.records(), 1);
         drop(j);
@@ -616,7 +619,10 @@ mod tests {
         let mut torn = intact.clone();
         torn.extend_from_slice(&record_to_json(pair, &r).compact().as_bytes()[..25]);
         std::fs::write(&path, &torn).unwrap();
+        let capture = cmp_obs::Capture::install();
         let (mut j, restored) = Journal::open(&path, &tiny_cfg()).unwrap();
+        assert!(capture.contains("dropping torn tail"), "{:?}", capture.lines());
+        drop(capture);
         j.set_fsync_every(4);
         assert_eq!(restored.len(), 4, "torn tail dropped, intact records kept");
         j.append(pair, &r).unwrap();

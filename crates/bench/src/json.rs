@@ -4,7 +4,7 @@
 //!
 //! Objects preserve insertion order, so serializing a value the
 //! harness just built is deterministic — the property the golden
-//! files and `BENCH_parallel_lab.json` rely on for stable diffs.
+//! files and the `BENCH_*.json` reports rely on for stable diffs.
 //! Numbers are stored as `f64` and rendered with Rust's shortest
 //! round-trip formatting; the quantities recorded here (fractions,
 //! ratios, cycle counts at bench scale, milliseconds) are all well

@@ -3,12 +3,12 @@
 //! [`ScalingReport`] the regression suite asserts against.
 //!
 //! The sweep under test is the union of every figure's (workload,
-//! organization) pairs — the same 51-pair batch `parallel_lab` and
-//! the golden suite pin down — run once through the [`Lab`](crate::Lab)'s
+//! organization) pairs — the same 51-pair batch the golden and
+//! determinism suites pin down — run once through the [`Lab`](crate::Lab)'s
 //! on-demand lookups and once per worker count through its batch
-//! front door (the one the CLI batch binaries and the serving layer
-//! share). Each configuration is timed
-//! **best-of-N** (default 3) with every sample recorded, so one
+//! front door (the one `repro` and the serving layer share). Each
+//! configuration is timed
+//! **best-of-N** with every sample recorded, so one
 //! scheduler hiccup cannot trip the regression gate, and every
 //! parallel run is checked bit-identical to the sequential reference
 //! before any timing is trusted: a speedup that changes results is a
@@ -27,15 +27,11 @@ use std::time::Instant;
 use cmp_sim::{RunConfig, SimError};
 
 use crate::figures;
-use crate::json::Json;
 use crate::lab::{Lab, Pair, ResultSource};
 
 /// The default worker ladder: powers of two through 16, starting at 1
 /// so the report carries its own single-worker baseline.
 pub const DEFAULT_WORKER_COUNTS: [usize; 5] = [1, 2, 4, 8, 16];
-
-/// Default samples per configuration (best-of-3).
-pub const DEFAULT_SAMPLES: usize = 3;
 
 /// Environment variable overriding the speedup floor at a worker
 /// count `W`: `CMP_SCALING_FLOOR_<W>` (e.g. `CMP_SCALING_FLOOR_2=1.5`
@@ -121,11 +117,6 @@ pub struct ScalingReport {
 }
 
 impl ScalingReport {
-    /// The measured speedup at a worker count, if that row was run.
-    pub fn speedup_at(&self, workers: usize) -> Option<f64> {
-        self.rows.iter().find(|r| r.workers == workers).map(|r| r.speedup)
-    }
-
     /// Whether best-of-N wall-clock is monotone non-increasing as
     /// workers grow, within a multiplicative `tolerance` (0.05 =
     /// each row may be at most 5% slower than the best of the rows
@@ -169,37 +160,6 @@ impl ScalingReport {
             }
         }
         violations
-    }
-
-    /// The report as ordered JSON, the shape embedded in
-    /// `BENCH_parallel_lab.json` under `"scaling"`.
-    pub fn to_json(&self) -> Json {
-        let samples_arr = |ms: &[f64]| {
-            Json::Arr(ms.iter().map(|m| Json::Num((m * 1000.0).round() / 1000.0)).collect())
-        };
-        let mut root = Json::obj();
-        root.set("pairs", Json::Num(self.pairs as f64));
-        root.set("samples", Json::Num(self.samples as f64));
-        root.set("workers_available", Json::Num(self.workers_available as f64));
-        let mut seq = Json::obj();
-        seq.set("samples_ms", samples_arr(&self.sequential_samples_ms));
-        seq.set("best_ms", Json::Num(self.sequential_best_ms));
-        root.set("sequential", seq);
-        let rows = self
-            .rows
-            .iter()
-            .map(|r| {
-                let mut row = Json::obj();
-                row.set("workers", Json::Num(r.workers as f64));
-                row.set("samples_ms", samples_arr(&r.samples_ms));
-                row.set("best_ms", Json::Num(r.best_ms));
-                row.set("speedup", Json::Num((r.speedup * 1000.0).round() / 1000.0));
-                row
-            })
-            .collect();
-        root.set("rows", Json::Arr(rows));
-        root.set("identical", Json::Bool(self.identical));
-        root
     }
 }
 
@@ -337,19 +297,6 @@ mod tests {
             r.floors_met_with(default_floor).is_empty(),
             "3.33x at 2 and 8.3x at 8 clear the floors"
         );
-    }
-
-    #[test]
-    fn speedup_lookup_and_json_shape() {
-        let r = report(&[(1, 100.0), (2, 50.0)], 100.0, 8);
-        assert_eq!(r.speedup_at(2), Some(2.0));
-        assert_eq!(r.speedup_at(16), None);
-        let json = r.to_json();
-        assert_eq!(json.get("pairs").and_then(Json::as_f64), Some(51.0));
-        assert!(json.get("identical").is_some());
-        let text = json.to_string();
-        assert!(text.contains("\"rows\""), "{text}");
-        assert!(text.contains("\"speedup\""), "{text}");
     }
 
     #[test]

@@ -36,8 +36,8 @@
 //! pure function of `(pair, config)`, so a restarted worker's results
 //! are bit-identical to the lost worker's, and the merged report is
 //! byte-identical to a single-process [`crate::lab::Lab`]
-//! sweep — the `shard_chaos` gate in `cmp-serve` proves that equality
-//! on serialized bytes while SIGKILLing workers mid-sweep from a
+//! sweep — `cmp-serve`'s shard suite proves that equality on
+//! serialized bytes while SIGKILLing every worker mid-sweep from a
 //! seeded [`KillSchedule`].
 
 use std::io::{BufRead, BufReader, Write};
@@ -923,7 +923,10 @@ mod tests {
         let mut opts = ShardOptions::new(2);
         opts.max_attempts = 2;
         opts.restart_backoff = Duration::from_millis(1);
+        let capture = cmp_obs::Capture::install();
         let report = run_sharded(Path::new("/nonexistent/cmp-shard-worker"), &ps, &cfg, &opts);
+        assert!(capture.contains("shard quarantined"), "{:?}", capture.lines());
+        drop(capture);
         assert_eq!(report.pairs.len(), 4);
         assert_eq!(report.completed(), 0);
         assert_eq!(report.quarantined(), 4, "total failure is a partial report, not an abort");

@@ -58,6 +58,20 @@ fn kill_journal(path: &PathBuf, keep: usize, torn_tail: bool) {
     f.write_all(survived.as_bytes()).unwrap();
 }
 
+/// Reopens a killed journal; a torn tail must be announced as
+/// dropped, a clean cut must not be.
+fn reopen_after_kill(path: &PathBuf, torn_tail: bool) -> Lab {
+    let capture = cmp_obs::Capture::install();
+    let lab = Lab::with_journal(tiny_cfg(), 2, path).unwrap();
+    let journal = path.display().to_string();
+    let warned = capture
+        .lines()
+        .iter()
+        .any(|l| l.contains("sweep journal: dropping torn tail") && l.contains(&journal));
+    assert_eq!(warned, torn_tail, "torn-tail warning: {:?}", capture.lines());
+    lab
+}
+
 fn run_resume_scenario(name: &str, torn_tail: bool) {
     let (submitted, unique) = batch();
     let n = unique.len();
@@ -76,7 +90,7 @@ fn run_resume_scenario(name: &str, torn_tail: bool) {
     kill_journal(&path, keep, torn_tail);
 
     // Resume: restore the survivors, simulate only the remainder.
-    let mut resumed = Lab::with_journal(tiny_cfg(), 2, &path).unwrap();
+    let mut resumed = reopen_after_kill(&path, torn_tail);
     assert_eq!(resumed.restored(), keep, "must restore exactly the intact records");
     resumed.prefetch(&submitted).unwrap();
     assert_eq!(resumed.simulations(), n - keep, "resume must re-simulate only the lost pairs");
@@ -132,7 +146,7 @@ fn resume_under_group_commit_is_byte_identical() {
     }
     kill_journal(&path, keep, true);
 
-    let mut resumed = Lab::with_journal(tiny_cfg(), 2, &path).unwrap();
+    let mut resumed = reopen_after_kill(&path, true);
     resumed.set_journal_fsync_every(8);
     assert_eq!(resumed.restored(), keep, "must restore exactly the synced prefix");
     resumed.prefetch(&submitted).unwrap();

@@ -1,5 +1,5 @@
-//! The multi-process sweep supervisor CLI: `parallel_lab`, but with
-//! OS-process fault isolation.
+//! The multi-process sweep supervisor CLI: the multithreaded sweep
+//! with OS-process fault isolation.
 //!
 //! Partitions the paper's multithreaded sweep (five workloads x all
 //! eight organizations) across `--workers` `cmp-shard-worker`

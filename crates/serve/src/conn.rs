@@ -228,6 +228,7 @@ mod tests {
 
     #[test]
     fn over_limit_connection_is_shed_with_a_structured_response() {
+        let capture = cmp_obs::Capture::install();
         let addr = start(ConnOptions { max_connections: 1, read_timeout: None });
         let mut first = TcpStream::connect(addr).expect("first connection");
         // A health round-trip proves the first connection holds its
@@ -243,6 +244,7 @@ mod tests {
         assert_eq!(shed.get("type").and_then(Json::as_str), Some("shed"));
         assert_eq!(shed.get("reason").and_then(Json::as_str), Some("connection limit"));
         assert_eq!(shed.get("max-connections").and_then(Json::as_f64), Some(1.0));
+        assert!(capture.contains("connection shed at cap"), "{:?}", capture.lines());
         line.clear();
         assert_eq!(reader.read_line(&mut line).expect("eof"), 0, "shed closes the socket");
 

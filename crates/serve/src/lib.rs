@@ -38,9 +38,9 @@
 //!
 //! Because the service and the CLI batch path share one
 //! [`cmp_bench::Lab`], a result served here is
-//! byte-identical to the same pair run by `parallel_lab` or
-//! `repro` — the chaos suite (`serve_chaos`) and the flood
-//! tests assert that equality on serialized bytes.
+//! byte-identical to the same pair run by `repro` — the service's
+//! chaos unit tests and the flood tests assert that equality on
+//! serialized bytes.
 //!
 //! The wire format is documented in `DESIGN.md` ("Serving") and in
 //! [`request`].

@@ -1156,14 +1156,39 @@ mod tests {
         let _ = std::fs::remove_file(&blocker);
     }
 
+    /// Keeps the chaos schedule's deliberate panics off stderr; every
+    /// other panic still reaches the previous hook.
+    fn silence_injected_panics() {
+        static ONCE: std::sync::Once = std::sync::Once::new();
+        ONCE.call_once(|| {
+            let prev = std::panic::take_hook();
+            std::panic::set_hook(Box::new(move |info| {
+                if !info.to_string().contains("injected worker panic") {
+                    prev(info);
+                }
+            }));
+        });
+    }
+
+    /// An armed job's answer: job-failed with a replay line that
+    /// parses back to one `run` request for the same pair and sizing.
+    fn assert_failed_with_replay(resp: &Json, cfg: RunConfig) {
+        assert_eq!(resp.get("kind").and_then(Json::as_str), Some("failed"), "{resp}");
+        let replay = resp.get("replay").and_then(Json::as_str).expect("replay line");
+        let Ok(Request::Jobs(jobs)) = parse_line(replay, cfg, 65_536) else {
+            panic!("replay {replay} is not a run request");
+        };
+        let named = |k| resp.get(k).and_then(Json::as_str);
+        assert_eq!(jobs.len(), 1, "{replay}");
+        assert_eq!(Some(jobs[0].pair.0.name()), named("workload"), "{replay}");
+        assert_eq!(Some(jobs[0].pair.1.name()), named("org"), "{replay}");
+        let sizing = |c: &RunConfig| (c.warmup_accesses, c.measure_accesses, c.seed);
+        assert_eq!(sizing(&jobs[0].cfg), sizing(&cfg), "{replay}");
+    }
+
     #[test]
     fn quarantined_job_is_answered_once_with_a_replay_line() {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if !info.to_string().contains("injected worker panic") {
-                prev(info);
-            }
-        }));
+        silence_injected_panics();
         let mut opts = tiny_opts();
         opts.chaos = Some(ChaosSchedule::new(vec![cmp_audit::ChaosSpec {
             job: 0,
@@ -1177,7 +1202,7 @@ mod tests {
         assert!(capture.contains("sweep job quarantined"), "{:?}", capture.lines());
         drop(capture);
         assert_eq!(types(&responses), ["error"], "answered at once, not retried");
-        assert_eq!(responses[0].get("kind").and_then(|k| k.as_str()), Some("failed"));
+        assert_failed_with_replay(&responses[0], svc.opts.default_config);
         let replay = responses[0].get("replay").and_then(|r| r.as_str()).expect("replay line");
         assert_eq!(svc.pending(), 0);
         assert_eq!(svc.stats().failed, 1);
@@ -1418,10 +1443,13 @@ mod tests {
             let line = run_line("late", "barnes", "shared", r#","deadline-ms":50"#);
             std::thread::spawn(move || shared.answer(a, &[line]))
         };
+        let capture = cmp_obs::Capture::install();
         await_in_flight(&shared);
         let other = shared.answer(b, &[run_line("b", "ocean", "private", "")]);
         assert_eq!(types(&other), ["result"], "b is not held behind a's stalled round");
         let late = worker.join().expect("caller a");
+        assert!(capture.contains("cause=timed out"), "{:?}", capture.lines());
+        drop(capture);
         assert_eq!(types(&late), ["error"]);
         assert_eq!(late[0].get("kind").and_then(Json::as_str), Some("deadline-expired"));
         // Fenced: nothing of the cut run reached the cache.
@@ -1429,5 +1457,83 @@ mod tests {
         assert_eq!(again[0].get("cached"), Some(&Json::Bool(false)));
         let svc = shared.lock();
         assert_eq!((svc.stats().deadline_expired, svc.simulations()), (1, 2));
+    }
+
+    #[test]
+    fn two_front_doors_with_armed_panics_answer_each_id_once_to_its_sender() {
+        use cmp_bench::ResultSource;
+        const ROUND: usize = 3;
+        silence_injected_panics();
+        let mut opts = tiny_opts();
+        // Both threads' rounds fit in flight together.
+        opts.queue_capacity = 2 * ROUND;
+        // The first round planned is ROUND distinct misses; its armed
+        // jobs panic, whichever thread it belongs to.
+        let schedule = ChaosSchedule::seeded(0xC0C0, ROUND, 2, 0, 0);
+        let panics = schedule.len();
+        opts.chaos = Some(schedule);
+        let cfg = opts.default_config;
+        let pairs: Vec<(&str, &str)> = cmp_bench::MULTITHREADED
+            .iter()
+            .flat_map(|&w| ["shared", "private", "nurapid"].map(|o| (w, o)))
+            .collect();
+        let shared = SharedService::new(Service::new(opts));
+        let capture = cmp_obs::Capture::install();
+        // Thread 1 walks the pairs backwards, so the two threads start
+        // on different misses and meet on shared ones.
+        let answers: Vec<(Vec<String>, Vec<Json>)> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..2)
+                .map(|t| {
+                    let (shared, pairs) = (&shared, &pairs);
+                    s.spawn(move || {
+                        let caller = shared.caller();
+                        let mut order = pairs.clone();
+                        if t == 1 {
+                            order.reverse();
+                        }
+                        let (mut sent, mut got) = (Vec::new(), Vec::new());
+                        for round in order.chunks(ROUND) {
+                            let lines: Vec<String> = round
+                                .iter()
+                                .map(|(w, o)| {
+                                    sent.push(format!("t{t}-{}", sent.len()));
+                                    run_line(sent.last().unwrap(), w, o, "")
+                                })
+                                .collect();
+                            got.extend(shared.answer(caller, &lines));
+                        }
+                        (sent, got)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("front-door thread")).collect()
+        });
+        assert!(capture.contains("sweep job quarantined"), "{:?}", capture.lines());
+        drop(capture);
+
+        let mut lab = Lab::new(cfg);
+        let mut failed = 0;
+        for (sent, got) in &answers {
+            let mut seen: Vec<&str> = ids(got);
+            seen.sort_unstable();
+            let mut want: Vec<&str> = sent.iter().map(String::as_str).collect();
+            want.sort_unstable();
+            assert_eq!(seen, want, "each id answered exactly once, only to its sender");
+            for resp in got {
+                if resp.get("type").and_then(Json::as_str) == Some("error") {
+                    failed += 1;
+                    assert_failed_with_replay(resp, cfg);
+                    continue;
+                }
+                assert_eq!(resp.get("type").and_then(Json::as_str), Some("result"), "{resp}");
+                let named = |k| resp.get(k).and_then(Json::as_str).expect("pair field");
+                let w = cmp_bench::WorkloadId::from_catalog(named("workload")).unwrap();
+                let o = cmp_sim::OrgKind::from_name(named("org")).unwrap();
+                let want = run_result_to_json(lab.result(w, o)).compact();
+                assert_eq!(payload(resp), want, "{}/{}", w.name(), o.name());
+            }
+        }
+        assert_eq!(failed, panics, "every armed panic, and only those, failed");
+        assert_eq!(shared.lock().stats().failed as usize, panics);
     }
 }

@@ -1,12 +1,13 @@
 //! Overload and crash-recovery integration tests for the serving
-//! layer: the bounded queue under a request flood, and journal
-//! resume after a mid-run kill.
+//! layer: the bounded queue under a request flood with injected
+//! worker panics, and journal resume after a mid-run kill.
 
 use std::collections::HashMap;
 
+use cmp_audit::ChaosSchedule;
 use cmp_bench::journal::run_result_to_json;
 use cmp_bench::{Json, Lab, ResultSource, WorkloadId};
-use cmp_serve::{shard_journal_path, ServeOptions, Service};
+use cmp_serve::{parse_line, shard_journal_path, Request, ServeOptions, Service};
 use cmp_sim::{OrgKind, RunConfig};
 
 fn tiny_cfg() -> RunConfig {
@@ -34,10 +35,44 @@ fn flood_lines() -> Vec<String> {
     lines
 }
 
+fn workload_org(resp: &Json) -> (&str, &str) {
+    let field = |k| resp.get(k).and_then(|v| v.as_str()).expect("response names its pair");
+    (field("workload"), field("org"))
+}
+
+/// An armed job's answer: a job-failed error whose replay line is a
+/// `run` request for the same pair and sizing.
+fn assert_failed_with_replay(resp: &Json) {
+    assert_eq!(resp.get("type").and_then(|t| t.as_str()), Some("error"), "{resp}");
+    assert_eq!(resp.get("kind").and_then(|k| k.as_str()), Some("failed"), "{resp}");
+    let replay = resp.get("replay").and_then(|r| r.as_str()).expect("replay line");
+    let Ok(Request::Jobs(jobs)) = parse_line(replay, tiny_cfg(), 65_536) else {
+        panic!("replay {replay} is not a run request");
+    };
+    assert_eq!(jobs.len(), 1, "{replay}");
+    let (w, o) = workload_org(resp);
+    assert_eq!((jobs[0].pair.0.name(), jobs[0].pair.1.name()), (w, o), "{replay}");
+    let sizing = |c: &RunConfig| (c.warmup_accesses, c.measure_accesses, c.seed);
+    assert_eq!(sizing(&jobs[0].cfg), sizing(&tiny_cfg()), "{replay}");
+}
+
 #[test]
 fn flood_bounds_the_queue_sheds_explicitly_and_loses_nothing() {
     const CAPACITY: usize = 4;
-    let mut svc = Service::new(opts(CAPACITY));
+    let prev = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        if !info.to_string().contains("injected worker panic") {
+            prev(info);
+        }
+    }));
+    // Two seeded worker panics in the first batch, which is the
+    // admitted jobs in admission order (all distinct pairs), so chaos
+    // job i is admitted line i.
+    let schedule = ChaosSchedule::seeded(0x5EED, CAPACITY, 2, 0, 0);
+    let armed: Vec<usize> = schedule.specs().iter().map(|s| s.job).collect();
+    let mut o = opts(CAPACITY);
+    o.chaos = Some(schedule);
+    let mut svc = Service::new(o);
 
     // Admit the whole flood before processing anything: the queue
     // must cap at CAPACITY and everything else must shed, each with
@@ -49,7 +84,7 @@ fn flood_bounds_the_queue_sheds_explicitly_and_loses_nothing() {
         let responses = svc.handle_line(line);
         assert!(svc.pending() <= CAPACITY, "queue depth stayed bounded");
         if responses.is_empty() {
-            admitted_ids.push(line.clone());
+            admitted_ids.push(Json::parse(line).unwrap().get("id").unwrap().compact());
         } else {
             for resp in responses {
                 assert_eq!(resp.get("type").and_then(|t| t.as_str()), Some("shed"));
@@ -63,17 +98,30 @@ fn flood_bounds_the_queue_sheds_explicitly_and_loses_nothing() {
     assert_eq!(shed_ids.len(), lines.len() - CAPACITY);
     assert_eq!(svc.stats().shed as usize, shed_ids.len());
 
-    // Every admitted job is answered with a result — zero lost.
+    // One pass answers every admitted job exactly once — zero lost,
+    // nothing held back for a retry.
+    let capture = cmp_obs::Capture::install();
     let responses = svc.process_ready();
+    assert!(capture.contains("sweep job quarantined"), "{:?}", capture.lines());
+    drop(capture);
     assert_eq!(responses.len(), CAPACITY, "one response per admitted job");
-    assert!(responses.iter().all(|r| r.get("type").and_then(|t| t.as_str()) == Some("result")));
+    let by_id: HashMap<String, &Json> =
+        responses.iter().map(|r| (r.get("id").unwrap().compact(), r)).collect();
+    assert_eq!(by_id.len(), CAPACITY, "no job answered twice");
+    assert_eq!(svc.pending(), 0);
+    assert_eq!(svc.stats().failed as usize, armed.len(), "failed == armed");
 
-    // Byte-identity: the served bytes equal the CLI batch path's
-    // serialization of the same pairs.
+    // Armed jobs fail with a replay line; every other served result
+    // is byte-identical to the CLI batch path's serialization.
     let mut lab = Lab::new(tiny_cfg());
-    for resp in &responses {
-        let w = resp.get("workload").and_then(|v| v.as_str()).unwrap();
-        let o = resp.get("org").and_then(|v| v.as_str()).unwrap();
+    for (job, id) in admitted_ids.iter().enumerate() {
+        let resp = by_id.get(id).unwrap_or_else(|| panic!("admitted job {id} got no response"));
+        if armed.contains(&job) {
+            assert_failed_with_replay(resp);
+            continue;
+        }
+        assert_eq!(resp.get("type").and_then(|t| t.as_str()), Some("result"), "{resp}");
+        let (w, o) = workload_org(resp);
         let workload = WorkloadId::from_catalog(w).unwrap();
         let org = OrgKind::from_name(o).unwrap();
         let expect = run_result_to_json(lab.result(workload, org)).compact();
@@ -140,11 +188,14 @@ fn kill_and_restart_resumes_from_the_journal_and_serves_from_cache() {
     // matches the first life.
     let mut o = opts(16);
     o.journal_base = Some(base.clone());
+    let capture = cmp_obs::Capture::install();
     let mut svc = Service::new(o);
     for line in &lines {
         assert!(svc.handle_line(line).is_empty());
     }
     let responses = svc.process_ready();
+    assert!(capture.contains("dropping torn tail"), "{:?}", capture.lines());
+    drop(capture);
     assert_eq!(responses.len(), lines.len());
     let restored = svc.restored();
     assert!(restored > 0, "journal resume restored the intact prefix");

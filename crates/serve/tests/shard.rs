@@ -69,29 +69,31 @@ fn fault_free_sharded_sweep_is_byte_identical_to_single_process() {
     }
 }
 
+/// SIGKILL *every* worker on its first life, after its first result,
+/// at two fleet widths: each shard must restart once, resume what its
+/// journal holds, and the merged sweep must stay byte-identical.
 #[test]
 fn killed_worker_resumes_from_journal_and_converges() {
     let pairs = pairs();
-    let dir = scratch("resume");
-    let mut opts = ShardOptions::new(2);
-    opts.journal_base = Some(dir.join("sweep.jsonl"));
-    // SIGKILL shard 0 on its first life after its first result; the
-    // delay paces jobs so the kill lands mid-partition.
-    opts.kills = Some(KillSchedule::new(vec![cmp_bench::KillSpec {
-        shard: 0,
-        attempt: 0,
-        after_results: 1,
-    }]));
-    opts.job_delay = Some(Duration::from_millis(10));
-    let report = run_sharded(worker(), &pairs, &tiny_cfg(), &opts);
-    assert!(report.is_complete(), "kill must not lose pairs: {}", report.summary());
-    let s0 = &report.shards[0];
-    assert_eq!(s0.chaos_kills, 1, "exactly the armed kill fired");
-    assert!(s0.exit_signals >= 1, "the SIGKILL exit was recorded");
-    assert_eq!(s0.lives, 2, "one restart");
-    assert!(s0.resumed >= 1, "life 2 resumed journaled pairs instead of re-simulating");
-    assert_byte_identical(&pairs, &report, &mut Lab::new(tiny_cfg()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let mut reference = Lab::new(tiny_cfg());
+    for workers in [2, 4] {
+        let dir = scratch(&format!("resume-{workers}"));
+        let mut opts = ShardOptions::new(workers);
+        opts.journal_base = Some(dir.join("sweep.jsonl"));
+        opts.kills = Some(KillSchedule::seeded(0x5EED_C4A0, workers, workers, 1));
+        // The delay paces jobs so each kill lands mid-partition.
+        opts.job_delay = Some(Duration::from_millis(10));
+        let report = run_sharded(worker(), &pairs, &tiny_cfg(), &opts);
+        assert!(report.is_complete(), "kills must not lose pairs: {}", report.summary());
+        for s in &report.shards {
+            assert_eq!(s.chaos_kills, 1, "{workers} workers: the armed kill fired: {s:?}");
+            assert!(s.exit_signals >= 1, "{workers} workers: the SIGKILL exit was recorded: {s:?}");
+            assert_eq!(s.lives, 2, "{workers} workers: one restart: {s:?}");
+            assert!(s.resumed >= 1, "{workers} workers: life 2 resumed journaled pairs: {s:?}");
+        }
+        assert_byte_identical(&pairs, &report, &mut reference);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]
@@ -101,7 +103,10 @@ fn exhausted_restart_budget_quarantines_only_that_shard() {
     opts.max_attempts = 2;
     opts.kills = Some(KillSchedule::exhaust(1, opts.max_attempts));
     opts.job_delay = Some(Duration::from_millis(10));
+    let capture = cmp_obs::Capture::install();
     let report = run_sharded(worker(), &pairs, &tiny_cfg(), &opts);
+    assert!(capture.contains("shard quarantined"), "{:?}", capture.lines());
+    drop(capture);
     assert!(!report.is_complete());
     assert!(report.shards[1].quarantined);
     assert_eq!(report.shards[1].lives, opts.max_attempts);
