@@ -8,6 +8,7 @@ use cmp_cache::{CacheOrg, InvalScratch, TagArray};
 use cmp_coherence::Bus;
 use cmp_mem::{AccessKind, BlockAddr, CacheGeometry, CoreId, Rng};
 use cmp_nurapid::{CmpNurapid, DGroupId, DataArray, NurapidConfig, TagRef};
+use cmp_sim::l1::{L1Cache, L1Outcome};
 use cmp_trace::{profiles, TraceSource};
 
 fn bench_tag_array(c: &mut Criterion) {
@@ -32,6 +33,33 @@ fn bench_tag_array(c: &mut Criterion) {
                 tags.touch(tags.set_of(blk), way);
             }
             black_box(())
+        })
+    });
+}
+
+fn bench_l1(c: &mut Criterion) {
+    // 1,100 blocks over the L1's 1,024 lines: mostly hits, as in a
+    // simulated run, with enough conflict misses to exercise fills.
+    const BLOCKS: u64 = 1_100;
+    let mut l1 = L1Cache::paper();
+    let mut rng = Rng::new(1);
+    for _ in 0..20_000 {
+        let b = BlockAddr(rng.gen_range(BLOCKS));
+        if l1.access(b, AccessKind::Read) == L1Outcome::Miss {
+            l1.fill(b, false, false);
+        }
+    }
+    c.bench_function("l1_access_hot", |b| {
+        let mut i = 0u64;
+        b.iter(|| {
+            i = i.wrapping_mul(6364136223846793005).wrapping_add(1);
+            let blk = BlockAddr(i % BLOCKS);
+            let kind = if i & 8 == 0 { AccessKind::Read } else { AccessKind::Write };
+            let outcome = l1.access(blk, kind);
+            if outcome != L1Outcome::Hit {
+                l1.fill(blk, false, kind.is_write());
+            }
+            black_box(outcome)
         })
     });
 }
@@ -111,6 +139,7 @@ fn bench_workload_generation(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_tag_array,
+    bench_l1,
     bench_data_array,
     bench_nurapid_access,
     bench_workload_generation

@@ -241,14 +241,7 @@ impl<W: TraceSource, O: CacheOrg> System<W, O> {
                         &mut self.bus,
                         &mut self.inval,
                     );
-                    for (victim_core, victim_l2_block) in self.inval.as_slice() {
-                        for child in victim_l2_block
-                            .children(cmp_mem::L2_BLOCK_BYTES, cmp_mem::L1_BLOCK_BYTES)
-                        {
-                            self.l1i[victim_core.index()].invalidate(child);
-                            self.l1d[victim_core.index()].invalidate(child);
-                        }
-                    }
+                    self.invalidate_l1s();
                     self.l1i[c].fill(l1_block, resp.writethrough, false);
                     stall += self.l1i[c].latency() + resp.latency;
                 }
@@ -256,6 +249,23 @@ impl<W: TraceSource, O: CacheOrg> System<W, O> {
             blk += 1;
         }
         stall
+    }
+
+    /// Applies the inclusion and coherence invalidations the last L2
+    /// access reported to each named core's L1D and, when instruction
+    /// fetch is on, its L1I: an L2 block may hold code or data.
+    #[inline]
+    fn invalidate_l1s(&mut self) {
+        for (victim_core, victim_l2_block) in self.inval.as_slice() {
+            let v = victim_core.index();
+            for child in victim_l2_block.children(cmp_mem::L2_BLOCK_BYTES, cmp_mem::L1_BLOCK_BYTES)
+            {
+                self.l1d[v].invalidate(child);
+                if let Some(l1i) = self.l1i.get_mut(v) {
+                    l1i.invalidate(child);
+                }
+            }
+        }
     }
 
     /// Performs the memory reference and returns the core stall.
@@ -278,14 +288,7 @@ impl<W: TraceSource, O: CacheOrg> System<W, O> {
                     &mut self.bus,
                     &mut self.inval,
                 );
-                // Apply inclusion/coherence invalidations to L1s.
-                for (victim_core, victim_l2_block) in self.inval.as_slice() {
-                    for child in
-                        victim_l2_block.children(cmp_mem::L2_BLOCK_BYTES, cmp_mem::L1_BLOCK_BYTES)
-                    {
-                        self.l1d[victim_core.index()].invalidate(child);
-                    }
-                }
+                self.invalidate_l1s();
                 self.l1d[c].fill(l1_block, resp.writethrough, access.kind.is_write());
                 if outcome == L1Outcome::HitWritethrough {
                     // Posted store: the L2/bus effects happened, but

@@ -3,10 +3,10 @@
 
 use cmp_coherence::Bus;
 use cmp_latency::LatencyBook;
-use cmp_mem::{AccessKind, Addr, CoreId};
+use cmp_mem::{AccessKind, Addr, CacheGeometry, CoreId};
 use cmp_nurapid::{CmpNurapid, NurapidConfig};
 use cmp_sim::{build_org, OrgKind, RunConfig, System};
-use cmp_trace::{Access, RecordedTrace};
+use cmp_trace::{Access, RecordedTrace, TraceSource};
 
 /// A deterministic hand-written trace: every core works through the
 /// same explicit script.
@@ -200,6 +200,45 @@ fn instruction_fetch_adds_l1i_traffic_and_stays_deterministic() {
     assert!(a.l1i.misses > 0, "cold code must miss the L1I");
     assert_eq!(a.cycles, b.cycles, "instruction fetch must stay deterministic");
     assert_eq!(a.l1i.hits, b.l1i.hits);
+}
+
+/// One core whose code is a single 64 B block at address 0 and whose
+/// every data reference reads address 256.
+struct CodeDataConflict;
+
+impl TraceSource for CodeDataConflict {
+    fn next_access(&mut self, _core: CoreId) -> Access {
+        Access { addr: Addr(256), kind: AccessKind::Read, gap: 0 }
+    }
+
+    fn name(&self) -> &str {
+        "code-data-conflict"
+    }
+
+    fn cores(&self) -> usize {
+        1
+    }
+
+    fn code_region(&self, _core: CoreId) -> Option<(Addr, u64, f64)> {
+        Some((Addr(0), 64, 0.0))
+    }
+}
+
+#[test]
+fn data_miss_evicting_code_from_the_l2_invalidates_the_l1i() {
+    // A direct-mapped L2 of two 128 B sets: the code block (L2 block 0)
+    // and the data block (L2 block 2) share set 0, so each step's data
+    // miss evicts the code and each step's fetch evicts the data.
+    let l2 = cmp_cache::UniformShared::new(1, CacheGeometry::new(256, 128, 1), 1, 10, 100, "tiny");
+    let mut sys = System::new(CodeDataConflict, l2);
+    assert!(sys.enable_instruction_fetch(1));
+    let r = sys.run_measured(0, 8);
+    // Inclusion: once the L2 dropped the code block, the next fetch of
+    // it must miss the L1I rather than hit a stale copy.
+    assert_eq!(r.l1i.hits, 0, "stale L1I hits: {:?}", r.l1i);
+    assert_eq!(r.l1i.misses, 8);
+    assert_eq!(r.l1i.invalidations, 8, "every data miss drops the code block");
+    assert_eq!(r.l1.misses, 8, "every fetch drops the data block");
 }
 
 #[test]

@@ -7,6 +7,7 @@ use nurapid_suite::cache::{lru::LruSets, CacheOrg, TagArray};
 use nurapid_suite::coherence::{mesic, Bus, BusTx};
 use nurapid_suite::mem::{AccessKind, Addr, BlockAddr, CacheGeometry, CoreId, Rng, Zipf};
 use nurapid_suite::nurapid::{CmpNurapid, DGroupId, DataArray, NurapidConfig, TagRef};
+use nurapid_suite::sim::l1::{L1Cache, L1Outcome, L1Stats};
 
 // ---- LRU vs a Vec-based reference model -----------------------------------
 
@@ -60,6 +61,137 @@ proptest! {
         for raw in &resident {
             prop_assert!(tags.lookup(BlockAddr(*raw)).is_some());
         }
+    }
+}
+
+// ---- Packed L1 vs the TagArray-backed L1 it replaced ------------------------
+
+/// L1 line state of the reference model.
+#[derive(Clone, Copy, Debug)]
+struct RefLine {
+    dirty: bool,
+    writethrough: bool,
+    write_permitted: bool,
+}
+
+/// The L1 as a generic [`TagArray`] with LRU victims: the reference
+/// the packed two-way `L1Cache` must match step for step.
+struct RefL1 {
+    tags: TagArray<RefLine>,
+    stats: L1Stats,
+}
+
+impl RefL1 {
+    fn new(geom: CacheGeometry) -> Self {
+        RefL1 { tags: TagArray::new(geom), stats: L1Stats::default() }
+    }
+
+    fn access(&mut self, block: BlockAddr, kind: AccessKind) -> L1Outcome {
+        let set = self.tags.set_of(block);
+        let Some(way) = self.tags.lookup(block) else {
+            self.stats.misses += 1;
+            return L1Outcome::Miss;
+        };
+        self.tags.touch(set, way);
+        let line = &mut self.tags.entry_mut(set, way).expect("hit entry").payload;
+        if kind == AccessKind::Read {
+            self.stats.hits += 1;
+            L1Outcome::Hit
+        } else if line.writethrough {
+            self.stats.store_forwards += 1;
+            L1Outcome::HitWritethrough
+        } else if line.write_permitted {
+            line.dirty = true;
+            self.stats.hits += 1;
+            L1Outcome::Hit
+        } else {
+            self.stats.store_forwards += 1;
+            L1Outcome::HitNeedsPermission
+        }
+    }
+
+    fn fill(&mut self, block: BlockAddr, writethrough: bool, written: bool) {
+        let set = self.tags.set_of(block);
+        let permitted = written && !writethrough;
+        if let Some(way) = self.tags.lookup(block) {
+            let line = &mut self.tags.entry_mut(set, way).expect("present").payload;
+            line.writethrough = writethrough;
+            line.write_permitted = permitted;
+            line.dirty |= permitted;
+            return;
+        }
+        let way = self.tags.victim_by(set, |e| u32::from(e.is_some()));
+        if let Some((_, line)) = self.tags.evict(set, way) {
+            self.stats.writebacks += u64::from(line.dirty);
+        }
+        let line = RefLine { dirty: permitted, writethrough, write_permitted: permitted };
+        self.tags.fill(set, way, block, line);
+    }
+
+    fn invalidate(&mut self, block: BlockAddr) -> bool {
+        let set = self.tags.set_of(block);
+        let Some(way) = self.tags.lookup(block) else { return false };
+        let (_, line) = self.tags.evict(set, way).expect("present");
+        self.stats.writebacks += u64::from(line.dirty);
+        self.stats.invalidations += 1;
+        true
+    }
+
+    fn contains(&self, block: BlockAddr) -> bool {
+        self.tags.lookup(block).is_some()
+    }
+}
+
+/// Drives the packed L1 and the reference with the same operations,
+/// on a pool of six tags (three of them large) in each of up to four
+/// sets, comparing every outcome, residency and counter after each.
+fn check_l1_against_reference(geom: CacheGeometry, ops: &[(u8, u64, bool, bool)]) {
+    let pool: Vec<BlockAddr> = (0..24u64)
+        .map(|raw| {
+            let set = (raw % 4) as usize % geom.num_sets();
+            let tag = raw / 4;
+            let tag = if tag >= 3 { (1 << 50) + tag } else { tag };
+            geom.block_of(tag, set)
+        })
+        .collect();
+    let mut l1 = L1Cache::new(geom, 3);
+    let mut model = RefL1::new(geom);
+    for &(op, raw, a, b) in ops {
+        let block = pool[raw as usize];
+        let kind = if a { AccessKind::Write } else { AccessKind::Read };
+        match op {
+            // A reference as the system makes it: access, then fill
+            // on anything but a plain hit.
+            0 => {
+                let outcome = l1.access(block, kind);
+                assert_eq!(outcome, model.access(block, kind));
+                if outcome != L1Outcome::Hit {
+                    l1.fill(block, b, a);
+                    model.fill(block, b, a);
+                }
+            }
+            1 => assert_eq!(l1.access(block, kind), model.access(block, kind)),
+            2 => {
+                l1.fill(block, a, b);
+                model.fill(block, a, b);
+            }
+            _ => assert_eq!(l1.invalidate(block), model.invalidate(block)),
+        }
+        assert_eq!(*l1.stats(), model.stats);
+        for &b in &pool {
+            assert_eq!(l1.contains(b), model.contains(b), "residency of {b:?}");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+    #[test]
+    fn packed_l1_matches_tag_array_reference(
+        ops in proptest::collection::vec((0u8..4, 0u64..24, any::<bool>(), any::<bool>()), 1..300)
+    ) {
+        check_l1_against_reference(CacheGeometry::new(64 * 1024, 64, 2), &ops);
+        check_l1_against_reference(CacheGeometry::new(256, 64, 2), &ops);
     }
 }
 
