@@ -117,6 +117,9 @@ impl fmt::Display for BlockAddr {
 pub struct CoreId(pub u8);
 
 impl CoreId {
+    /// Most cores a machine can have: one identifier per `u8` value.
+    pub const MAX_CORES: usize = u8::MAX as usize + 1;
+
     /// The core's index, for indexing per-core tables.
     #[inline]
     pub fn index(self) -> usize {
@@ -125,8 +128,8 @@ impl CoreId {
 
     /// Iterator over the first `n` core identifiers.
     pub fn all(n: usize) -> impl Iterator<Item = CoreId> {
-        assert!(n <= u8::MAX as usize + 1, "too many cores");
-        (0..n as u8).map(CoreId)
+        assert!(n <= Self::MAX_CORES, "too many cores");
+        (0..n).map(|i| CoreId(i as u8))
     }
 }
 
@@ -219,6 +222,8 @@ mod tests {
         let ids: Vec<_> = CoreId::all(4).collect();
         assert_eq!(ids, vec![CoreId(0), CoreId(1), CoreId(2), CoreId(3)]);
         assert_eq!(ids[3].index(), 3);
+        let last = CoreId::all(CoreId::MAX_CORES).last();
+        assert_eq!(last, Some(CoreId(255)), "a full 256-core machine names every core");
     }
 
     #[test]

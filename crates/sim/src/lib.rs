@@ -13,6 +13,8 @@
 //!   clock, and the core with the smallest clock executes its next
 //!   reference (compute gap + L1 access + possible L2/memory access),
 //!   so coherence events interleave in global time order;
+//! * [`sched`] — picks that core: a linear scan up to 8 cores, an
+//!   O(log cores) winner tree above;
 //! * [`runner`] — experiment plumbing: builds any of the five L2
 //!   organizations by name, runs warm-up + measurement phases, and
 //!   returns the statistics the figure harnesses print.
@@ -36,6 +38,7 @@ pub mod energy;
 pub mod error;
 pub mod l1;
 pub mod runner;
+pub mod sched;
 pub mod stopping;
 pub mod system;
 

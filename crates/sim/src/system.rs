@@ -6,6 +6,7 @@ use cmp_mem::{AccessKind, CoreId, Cycle, Rng, Zipf};
 use cmp_trace::{Access, TraceSource};
 
 use crate::l1::{L1Cache, L1Outcome, L1Stats};
+use crate::sched::{self, WinnerTree};
 use crate::stopping::{
     batch_accesses, z_for_confidence, StopInfo, StopMetric, StopRule, Welford, MIN_BATCHES,
 };
@@ -125,7 +126,7 @@ impl<W: TraceSource, O: CacheOrg> System<W, O> {
     ///
     /// # Panics
     ///
-    /// Panics on a core-count mismatch.
+    /// Panics on a core count [`System::with_bus`] rejects.
     pub fn new(workload: W, org: O) -> Self {
         Self::with_bus(workload, org, Bus::paper())
     }
@@ -135,10 +136,16 @@ impl<W: TraceSource, O: CacheOrg> System<W, O> {
     ///
     /// # Panics
     ///
-    /// Panics on a core-count mismatch.
+    /// Panics on no cores, on more than [`CoreId::MAX_CORES`] cores (a
+    /// core is named by a `u8`), or on a core-count mismatch.
     pub fn with_bus(workload: W, org: O, bus: Bus) -> Self {
-        assert_eq!(workload.cores(), org.cores(), "workload and L2 organization disagree on cores");
         let n = workload.cores();
+        assert!(
+            (1..=CoreId::MAX_CORES).contains(&n),
+            "a system needs 1..={} cores, got {n}",
+            CoreId::MAX_CORES
+        );
+        assert_eq!(n, org.cores(), "workload and L2 organization disagree on cores");
         System {
             workload,
             org,
@@ -187,12 +194,22 @@ impl<W: TraceSource, O: CacheOrg> System<W, O> {
     }
 
     /// Executes one reference on `core`.
-    #[inline]
+    ///
+    /// `step` and `reference` are forced inline: both step loops of
+    /// [`System::run`] call them, and with two callers the inliner
+    /// leaves them out of line, which costs the 4-core loop a call per
+    /// reference. Instruction fetch, off in every figure, stays one
+    /// out-of-line copy per organization.
+    #[inline(always)]
     fn step(&mut self, core: CoreId) {
         let access = self.workload.next_access(core);
         let c = core.index();
         // Instruction fetch for this step's instructions, if enabled.
-        let fetch_stall = self.fetch_instructions(core, access.gap as u64 + 1);
+        let fetch_stall = if self.ifetch[c].is_some() {
+            self.fetch_instructions(core, access.gap as u64 + 1)
+        } else {
+            0
+        };
         {
             let state = &mut self.cores[c];
             // Compute gap: CPI = 1 for non-memory instructions.
@@ -207,7 +224,7 @@ impl<W: TraceSource, O: CacheOrg> System<W, O> {
     /// Advances the instruction stream by `instructions` (4 bytes
     /// each) and fetches any newly touched I-blocks through the L1I;
     /// L1I misses go to the L2 as reads. Returns the fetch stall.
-    #[inline]
+    #[inline(never)]
     fn fetch_instructions(&mut self, core: CoreId, instructions: u64) -> Cycle {
         let c = core.index();
         let Some(ifetch) = self.ifetch[c].as_mut() else { return 0 };
@@ -269,7 +286,7 @@ impl<W: TraceSource, O: CacheOrg> System<W, O> {
     }
 
     /// Performs the memory reference and returns the core stall.
-    #[inline]
+    #[inline(always)]
     fn reference(&mut self, core: CoreId, access: Access) -> Cycle {
         let c = core.index();
         let l1_block = access.addr.block(cmp_mem::L1_BLOCK_BYTES);
@@ -307,13 +324,24 @@ impl<W: TraceSource, O: CacheOrg> System<W, O> {
     /// least one core completes N instructions" methodology; no
     /// statistics reset). All cores stay within one reference of the
     /// same wall-clock, so bus timestamps remain monotonic.
+    ///
+    /// Each step advances the core with the smallest local clock, first
+    /// minimum winning ties (the tie-break order is part of the
+    /// deterministic schedule). Up to [`sched::SCAN_MAX_CORES`] cores a
+    /// linear scan finds it; above, a [`WinnerTree`] picks the same
+    /// core in O(log cores).
     pub fn run(&mut self, accesses_per_core: u64) {
-        let n = self.cores.len();
         let targets: Vec<u64> = self.cores.iter().map(|s| s.accesses + accesses_per_core).collect();
+        if self.cores.len() <= sched::SCAN_MAX_CORES {
+            self.run_scan(&targets);
+        } else {
+            self.run_tree(&targets);
+        }
+    }
+
+    /// [`System::run`]'s step loop with a linear scan for the next core.
+    fn run_scan(&mut self, targets: &[u64]) {
         loop {
-            // Advance the core with the smallest local clock (first
-            // minimum wins — the tie-break order is part of the
-            // deterministic schedule).
             let mut i = 0;
             let mut best = self.cores[0].clock;
             for (j, s) in self.cores.iter().enumerate().skip(1) {
@@ -322,11 +350,23 @@ impl<W: TraceSource, O: CacheOrg> System<W, O> {
                     i = j;
                 }
             }
-            debug_assert!(n > 0);
             if self.cores[i].accesses >= targets[i] {
                 break;
             }
             self.step(CoreId(i as u8));
+        }
+    }
+
+    /// [`System::run`]'s step loop with a winner tree for the next core.
+    fn run_tree(&mut self, targets: &[u64]) {
+        let mut tree = WinnerTree::new(self.cores.iter().map(|s| s.clock));
+        loop {
+            let i = tree.next_core();
+            if self.cores[i].accesses >= targets[i] {
+                break;
+            }
+            self.step(CoreId(i as u8));
+            tree.update(i, self.cores[i].clock);
         }
     }
 
@@ -524,5 +564,55 @@ mod tests {
             profiles::oltp(2, 1),
             Box::new(cmp_cache::UniformShared::paper_shared(&book)) as Box<dyn CacheOrg>,
         );
+    }
+
+    /// A workload that only reports a core count: enough to reach the
+    /// constructor's core-count checks, which run before any other.
+    struct Cores(usize);
+
+    impl TraceSource for Cores {
+        fn next_access(&mut self, _: CoreId) -> Access {
+            unreachable!("the constructor rejects this machine first")
+        }
+        fn name(&self) -> &str {
+            "cores"
+        }
+        fn cores(&self) -> usize {
+            self.0
+        }
+    }
+
+    fn system_of(cores: usize) {
+        let book = LatencyBook::paper();
+        let _ = System::new(Cores(cores), cmp_cache::UniformShared::paper_shared(&book));
+    }
+
+    #[test]
+    #[should_panic(expected = "a system needs 1..=256 cores, got 0")]
+    fn an_empty_machine_is_rejected() {
+        system_of(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "a system needs 1..=256 cores, got 257")]
+    fn more_cores_than_core_ids_are_rejected() {
+        system_of(257);
+    }
+
+    #[test]
+    fn winner_tree_keeps_the_scan_schedule() {
+        let book = LatencyBook::from_table1(&cmp_latency::Table1::published(), 16);
+        let build =
+            || System::new(profiles::apache(16, 3), cmp_cache::UniformShared::paper_shared(&book));
+        let (mut tree, mut scan) = (build(), build());
+        for phase in [300, 700] {
+            tree.run(phase);
+            let targets: Vec<u64> = scan.cores.iter().map(|s| s.accesses + phase).collect();
+            scan.run_scan(&targets);
+        }
+        let zero = MeasureBase { inst0: 0, stall0: 0, acc0: 0, clock0: 0 };
+        assert_eq!(tree.finish_measurement(&zero), scan.finish_measurement(&zero));
+        let clocks = |sys: &System<_, _>| sys.cores.iter().map(|s| s.clock).collect::<Vec<_>>();
+        assert_eq!(clocks(&tree), clocks(&scan));
     }
 }

@@ -8,6 +8,7 @@ use nurapid_suite::coherence::{mesic, Bus, BusTx};
 use nurapid_suite::mem::{AccessKind, Addr, BlockAddr, CacheGeometry, CoreId, Rng, Zipf};
 use nurapid_suite::nurapid::{CmpNurapid, DGroupId, DataArray, NurapidConfig, TagRef};
 use nurapid_suite::sim::l1::{L1Cache, L1Outcome, L1Stats};
+use nurapid_suite::sim::sched::WinnerTree;
 
 // ---- LRU vs a Vec-based reference model -----------------------------------
 
@@ -192,6 +193,44 @@ proptest! {
     ) {
         check_l1_against_reference(CacheGeometry::new(64 * 1024, 64, 2), &ops);
         check_l1_against_reference(CacheGeometry::new(256, 64, 2), &ops);
+    }
+}
+
+// ---- Winner-tree scheduler vs the first-minimum scan ------------------------
+
+/// The index of the first core with the smallest clock: the pick the
+/// simulator's scan makes.
+fn first_min(clocks: &[u64]) -> usize {
+    let mut best = 0;
+    for (i, &c) in clocks.iter().enumerate() {
+        if c < clocks[best] {
+            best = i;
+        }
+    }
+    best
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+    #[test]
+    fn winner_tree_picks_the_first_minimum(
+        cores in 1usize..65,
+        start in proptest::collection::vec(0u64..4, 64..65),
+        ops in proptest::collection::vec((any::<bool>(), 0usize..64, 0u64..4), 1..300),
+    ) {
+        // Clocks drawn from a small range tie often, which is where the
+        // packed key's core byte has to break ties as the scan does.
+        let mut clocks = start[..cores].to_vec();
+        let mut tree = WinnerTree::new(clocks.iter().copied());
+        prop_assert_eq!(tree.next_core(), first_min(&clocks));
+        for (step_winner, other, inc) in ops {
+            // Half the time the system's own move (the picked core
+            // advances), otherwise any core.
+            let core = if step_winner { tree.next_core() } else { other % cores };
+            clocks[core] += inc;
+            tree.update(core, clocks[core]);
+            prop_assert_eq!(tree.next_core(), first_min(&clocks));
+        }
     }
 }
 
