@@ -1,9 +1,9 @@
-//! Regenerates the paper's tables and figures, one at a time or all
-//! in one run.
+//! Regenerates the paper's tables and figures and the studies beyond
+//! them, one at a time or all in one run.
 //!
 //! Usage: `repro <name|all> [quick|paper|<refs>]`, where `<name>` is
-//! one of [`figures::ENTRIES`] (`table1`, `fig5`, ...) and the sizing
-//! defaults to `paper`.
+//! one of [`figures::ENTRIES`] (`table1`, `fig5`, ..., `ablations`,
+//! `dnuca`, ...) and the sizing defaults to `paper`.
 //!
 //! The requested entries' (workload, organization) pairs are
 //! prefetched through the lab up front — the sweep fans out across
@@ -22,7 +22,7 @@ use cmp_bench::{ok_or_exit, parse_config, Lab};
 use cmp_sim::RunConfig;
 
 fn usage() -> ! {
-    let names: Vec<&str> = figures::ENTRIES.iter().map(|(name, _, _)| *name).collect();
+    let names: Vec<&str> = figures::ENTRIES.iter().map(|e| e.name).collect();
     eprintln!("usage: repro <all|{}> [quick|paper|<refs>]", names.join("|"));
     std::process::exit(2);
 }
@@ -33,7 +33,7 @@ fn main() {
     let entries: Vec<&Entry> = if all {
         figures::ENTRIES.iter().collect()
     } else {
-        vec![figures::ENTRIES.iter().find(|(n, _, _)| *n == name).unwrap_or_else(|| usage())]
+        vec![figures::entry(&name).unwrap_or_else(|| usage())]
     };
     let cfg = parse_config(std::env::args().nth(2).as_deref(), RunConfig::paper());
     if all {
@@ -51,7 +51,7 @@ fn main() {
         );
     }
     let t0 = std::time::Instant::now();
-    let pairs: Vec<_> = entries.iter().flat_map(|(_, pairs, _)| pairs()).collect();
+    let pairs: Vec<_> = entries.iter().flat_map(|e| (e.pairs)()).collect();
     ok_or_exit(lab.prefetch(&pairs));
     let sweep_ms = t0.elapsed().as_secs_f64() * 1e3;
     if !lab.last_report().quarantined.is_empty() {
@@ -63,8 +63,8 @@ fn main() {
             report = summary
         );
     }
-    for (_, _, render) in entries {
-        let text = render(&mut lab);
+    for e in entries {
+        let text = (e.render)(&mut lab);
         if all {
             println!("{text}");
         } else {

@@ -1,10 +1,12 @@
-//! One function per table/figure of the paper.
+//! One function per table/figure of the paper, and [`ENTRIES`], the
+//! one list of every experiment the repository runs.
 //!
 //! Every function renders the measured results in the paper's layout
 //! and, where the paper states numbers, appends them for comparison.
 //! The functions return `String`s so the `repro` binary and
 //! EXPERIMENTS.md generation share one code path; [`ENTRIES`] lists
-//! them with the pairs each one needs. They take a [`Lab`] and look
+//! them, and the studies of [`crate::studies`], with the pairs each
+//! one needs and its golden series. They take a [`Lab`] and look
 //! results up through it, so a figure renders the same bytes whether
 //! its pairs were simulated on demand or prefetched across a worker
 //! pool — the determinism suite compares the two byte for byte.
@@ -22,6 +24,7 @@ use cmp_mem::{ReuseBucket, ReuseHistogram};
 use cmp_sim::OrgKind;
 
 use crate::lab::{Lab, Pair, ResultSource};
+use crate::studies;
 use crate::table::{pct, rel, TextTable};
 use crate::{WorkloadId, COMMERCIAL, MIXES, MULTITHREADED};
 
@@ -119,33 +122,136 @@ pub mod pairs {
         cross(&MIXES, mix, &[OrgKind::Nurapid])
     }
 
-    /// The union of every entry's pairs, in [`ENTRIES`] order,
-    /// duplicates included (prefetch deduplicates).
-    pub fn all() -> Vec<Pair> {
-        ENTRIES.iter().flat_map(|(_, pairs, _)| pairs()).collect()
+    /// The `dnuca` study: the multithreaded workloads on
+    /// uniform-shared, CMP-SNUCA and CMP-DNUCA.
+    pub fn dnuca() -> Vec<Pair> {
+        cross(&MULTITHREADED, mt, &[OrgKind::Shared, OrgKind::Snuca, OrgKind::Dnuca])
     }
+
+    /// The `energy` study: two commercial workloads on the compared
+    /// organizations.
+    pub fn energy() -> Vec<Pair> {
+        cross(&studies::ENERGY_WORKLOADS, mt, &OrgKind::COMPARISON)
+    }
+
+    /// The `ablations` study: the uniform-shared baselines its custom
+    /// runs divide by.
+    pub fn ablations() -> Vec<Pair> {
+        studies::ABLATION_BASELINES.map(|w| (studies::catalog(w), OrgKind::Shared)).to_vec()
+    }
+
+    /// The paper's figure sweep: the union of the pairs of every
+    /// [`Entry::paper`] entry, in [`ENTRIES`] order, duplicates
+    /// included (prefetch deduplicates). The studies' pairs are not
+    /// part of it.
+    pub fn all() -> Vec<Pair> {
+        PAPER.iter().flat_map(|pairs| pairs()).collect()
+    }
+
+    /// The [`Entry::paper`] entries' pair functions, picked out of
+    /// [`ENTRIES`] at compile time: iterating `ENTRIES` at run time
+    /// would link every renderer and study into each binary that only
+    /// needs the sweep, such as `cmp-benchmark`, and raise its
+    /// peak RSS. The length pins the count.
+    const PAPER: [fn() -> Vec<Pair>; 12] = {
+        let mut out = [Vec::new as fn() -> Vec<Pair>; 12];
+        let (mut i, mut n) = (0, 0);
+        while i < ENTRIES.len() {
+            if ENTRIES[i].paper {
+                out[n] = ENTRIES[i].pairs;
+                n += 1;
+            }
+            i += 1;
+        }
+        assert!(n == out.len(), "PAPER's length must count the paper entries");
+        out
+    };
 }
 
-/// One printable table or figure: its name, the pairs to prefetch
-/// before rendering it, and its renderer.
-pub type Entry = (&'static str, fn() -> Vec<Pair>, fn(&mut Lab) -> String);
+/// One experiment: a table or figure of the paper, or a study
+/// beyond them. [`ENTRIES`] is the one list of them: `repro`'s
+/// subcommands, the golden suite and the determinism suite all
+/// iterate it.
+#[derive(Clone, Copy)]
+pub struct Entry {
+    /// The `repro` subcommand, also the golden file's name.
+    pub name: &'static str,
+    /// The memoized pairs to prefetch before rendering.
+    pub pairs: fn() -> Vec<Pair>,
+    /// The text `repro` prints.
+    pub render: fn(&mut Lab) -> String,
+    /// The raw numeric series the golden suite snapshots; `None` only
+    /// for the tables, which simulate nothing.
+    pub series: Option<fn(&mut Lab) -> series::Series>,
+    /// One of the paper's tables and figures: its pairs belong to the
+    /// figure sweep [`pairs::all`]. The studies' do not.
+    pub paper: bool,
+}
 
-/// Every table and figure, in the paper's order — the `repro`
-/// binary's subcommands.
-pub const ENTRIES: [Entry; 12] = [
-    ("table1", Vec::new, |_| table1()),
-    ("table2", Vec::new, |_| table2()),
-    ("table3", Vec::new, |_| table3()),
-    ("fig5", pairs::fig5, fig5),
-    ("fig6", pairs::fig6, fig6),
-    ("fig7", pairs::fig7, fig7),
-    ("fig8", pairs::fig8, fig8),
-    ("fig9", pairs::fig9, fig9),
-    ("fig10", pairs::fig10, fig10),
-    ("fig11", pairs::fig11, fig11),
-    ("fig12", pairs::fig12, fig12),
-    ("closest_dgroup_share", pairs::closest_dgroup_share, closest_dgroup_share),
+const fn table(name: &'static str, render: fn(&mut Lab) -> String) -> Entry {
+    Entry { name, pairs: Vec::new, render, series: None, paper: true }
+}
+
+const fn figure(
+    name: &'static str,
+    pairs: fn() -> Vec<Pair>,
+    render: fn(&mut Lab) -> String,
+    series: fn(&mut Lab) -> series::Series,
+) -> Entry {
+    Entry { name, pairs, render, series: Some(series), paper: true }
+}
+
+const fn study(
+    name: &'static str,
+    pairs: fn() -> Vec<Pair>,
+    render: fn(&mut Lab) -> String,
+    series: fn(&mut Lab) -> series::Series,
+) -> Entry {
+    Entry { name, pairs, render, series: Some(series), paper: false }
+}
+
+/// Every experiment: the paper's tables and figures in the paper's
+/// order, then the studies ([`crate::studies`]).
+pub const ENTRIES: [Entry; 18] = [
+    table("table1", |_| table1()),
+    table("table2", |_| table2()),
+    table("table3", |_| table3()),
+    figure("fig5", pairs::fig5, fig5, series::fig5),
+    figure("fig6", pairs::fig6, fig6, series::fig6),
+    figure("fig7", pairs::fig7, fig7, series::fig7),
+    figure("fig8", pairs::fig8, fig8, series::fig8),
+    figure("fig9", pairs::fig9, fig9, series::fig9),
+    figure("fig10", pairs::fig10, fig10, series::fig10),
+    figure("fig11", pairs::fig11, fig11, series::fig11),
+    figure("fig12", pairs::fig12, fig12, series::fig12),
+    figure(
+        "closest_dgroup_share",
+        pairs::closest_dgroup_share,
+        closest_dgroup_share,
+        series::closest_dgroup_share,
+    ),
+    study(
+        "ablations",
+        pairs::ablations,
+        |l| studies::ablations(l).text,
+        |l| studies::ablations(l).series,
+    ),
+    study("dnuca", pairs::dnuca, |l| studies::dnuca(l).text, |l| studies::dnuca(l).series),
+    study("energy", pairs::energy, |l| studies::energy(l).text, |l| studies::energy(l).series),
+    study("cores", Vec::new, |l| studies::cores(l).text, |l| studies::cores(l).series),
+    study(
+        "sensitivity",
+        Vec::new,
+        |l| studies::sensitivity(l).text,
+        |l| studies::sensitivity(l).series,
+    ),
+    study("icache", Vec::new, |l| studies::icache(l).text, |l| studies::icache(l).series),
 ];
+
+/// Looks an entry up by name.
+pub fn entry(name: &str) -> Option<&'static Entry> {
+    ENTRIES.iter().find(|e| e.name == name)
+}
 
 /// Table 1: cache and bus latencies, from the analytical model, with
 /// the published values asserted equal.
@@ -643,10 +749,6 @@ pub mod series {
         out
     }
 
-    /// One golden-tracked figure: its name, the pair set it needs
-    /// prefetched, and the extractor producing its numeric series.
-    pub type CatalogEntry = (&'static str, Vec<crate::lab::Pair>, fn(&mut Lab) -> Series);
-
     /// Serializes one figure's series in the golden-fixture shape:
     /// figure name, the exact [`cmp_sim::RunConfig`] that produced
     /// it, and the raw series values in rendering order. The golden
@@ -668,22 +770,6 @@ pub mod series {
         }
         out.set("series", s);
         out
-    }
-
-    /// Every golden-tracked figure — the single list the golden suite
-    /// and the parallel report iterate.
-    pub fn catalog() -> Vec<CatalogEntry> {
-        vec![
-            ("fig5", pairs::fig5(), fig5),
-            ("fig6", pairs::fig6(), fig6),
-            ("fig7", pairs::fig7(), fig7),
-            ("fig8", pairs::fig8(), fig8),
-            ("fig9", pairs::fig9(), fig9),
-            ("fig10", pairs::fig10(), fig10),
-            ("fig11", pairs::fig11(), fig11),
-            ("fig12", pairs::fig12(), fig12),
-            ("closest_dgroup_share", pairs::closest_dgroup_share(), closest_dgroup_share),
-        ]
     }
 }
 
@@ -762,28 +848,50 @@ mod tests {
     }
 
     #[test]
-    fn pair_sets_cover_their_figures() {
-        // Rendering each figure from a prefetched lab must not add
-        // runs — i.e. the pair sets are complete.
-        for (name, pairs, extract) in series::catalog() {
+    fn figure_sweep_is_the_papers_51_pairs() {
+        // `pairs::all()` is the benchmark's `figsweep-quick` job list
+        // and the scaling and approx suites' sweep: a study added to
+        // `ENTRIES` must not grow it.
+        let mut seen = std::collections::HashSet::new();
+        let unique: Vec<Pair> = pairs::all().into_iter().filter(|p| seen.insert(*p)).collect();
+        assert_eq!(unique.len(), 51);
+        assert!(unique.iter().all(|&(_, k)| k != OrgKind::Dnuca));
+    }
+
+    #[test]
+    fn pair_sets_cover_their_entries() {
+        // Rendering each entry and its series from a prefetched lab
+        // must not add runs — i.e. the pair sets are complete. The
+        // studies' custom runs bypass the memo and do not count.
+        for e in ENTRIES {
             let mut lab = Lab::with_threads(tiny_cfg(), 2);
-            lab.prefetch(&pairs).unwrap();
+            lab.prefetch(&(e.pairs)()).unwrap();
             let runs = lab.runs();
-            let _ = extract(&mut lab);
-            assert_eq!(lab.runs(), runs, "{name} pair set incomplete");
+            let _ = (e.render)(&mut lab);
+            if let Some(series) = e.series {
+                let _ = series(&mut lab);
+            }
+            assert_eq!(lab.runs(), runs, "{} pair set incomplete", e.name);
         }
     }
 
     #[test]
     fn series_keys_are_unique_and_finite() {
         let mut lab = tiny_lab();
-        for (name, _, extract) in series::catalog() {
+        for e in ENTRIES {
+            let Some(extract) = e.series else {
+                assert!(e.name.starts_with("table"), "{} has no series", e.name);
+                continue;
+            };
             let s = extract(&mut lab);
-            assert!(!s.is_empty(), "{name} empty");
+            assert!(!s.is_empty(), "{} empty", e.name);
             let keys: std::collections::HashSet<_> = s.iter().map(|(k, _)| k.clone()).collect();
-            assert_eq!(keys.len(), s.len(), "{name} has duplicate keys");
+            assert_eq!(keys.len(), s.len(), "{} has duplicate keys", e.name);
             for (k, v) in &s {
-                assert!(v.is_finite(), "{name}/{k} not finite");
+                assert!(v.is_finite(), "{}/{k} not finite", e.name);
+                if !e.paper {
+                    assert!(k.starts_with(&format!("{}/", e.name)), "{k} not under {}", e.name);
+                }
             }
         }
     }

@@ -2,26 +2,28 @@
 
 //! Experiment harness for the CMP-NuRAPID reproduction.
 //!
-//! One function per table/figure of the paper ([`figures`]), driven
-//! by one memoizing [`Lab`] so that `repro all` reuses simulation
+//! One function per table/figure of the paper ([`figures`]) and per
+//! study beyond them ([`studies`]), listed in one table
+//! ([`figures::ENTRIES`]) and driven by one memoizing [`Lab`] so that
+//! `repro all` reuses simulation
 //! runs across figures. The lab simulates a pair on demand or fans a
 //! batch across worker threads; a batch job that panics or overruns
 //! its deadline is quarantined on its first attempt with a one-line
-//! replay request ([`sweep`]). Binaries under `src/bin/` print each
+//! replay request ([`sweep`]). The `repro` binary prints each
 //! experiment in the paper's layout together with the paper's
 //! reported values for side-by-side comparison:
 //!
 //! ```text
 //! cargo run --release -p cmp-bench --bin repro -- table1
-//! cargo run --release -p cmp-bench --bin repro -- fig5  # ... fig6..fig12
-//! cargo run --release -p cmp-bench --bin repro -- all   # everything
-//! cargo run --release -p cmp-bench --bin ablations      # design-choice studies
+//! cargo run --release -p cmp-bench --bin repro -- fig5       # ... fig6..fig12
+//! cargo run --release -p cmp-bench --bin repro -- ablations  # design-choice studies
+//! cargo run --release -p cmp-bench --bin repro -- all        # everything
 //! ```
 //!
 //! The binaries take an optional sizing argument `[quick|paper|<refs>]`
 //! ([`parse_config`]; `repro` reads it after the entry name): `quick`
-//! is a fast low-fidelity pass (CI smoke), and most binaries default
-//! to the full paper-scale configuration.
+//! is a fast low-fidelity pass (CI smoke), and the default is the
+//! full paper-scale configuration.
 
 pub mod figures;
 pub mod journal;
@@ -32,6 +34,7 @@ pub mod pool;
 pub mod scaling;
 pub mod shard;
 pub mod spec;
+pub mod studies;
 pub mod sweep;
 pub mod table;
 
@@ -50,21 +53,25 @@ pub use table::TextTable;
 
 use cmp_sim::RunConfig;
 
-/// Parses a sizing argument `[quick|paper|<refs>]`: `<refs>` measured
-/// references per core after `<refs>/2` of warm-up, at the paper seed;
-/// no argument means `default`. Exits 2 with usage on anything else.
+/// Parses a sizing argument `[quick|paper|<refs>]`: `<refs>` (at
+/// least 1) measured references per core after `<refs>/2` of warm-up,
+/// at the paper seed; no argument means `default`. Exits 2 with usage
+/// on anything else, `0` included: a run that measures nothing would
+/// print ratios of zero cycles.
 pub fn parse_config(arg: Option<&str>, default: RunConfig) -> RunConfig {
     match arg {
         None => default,
         Some("quick") => RunConfig::quick(),
         Some("paper") => RunConfig::paper(),
-        Some(n) => {
-            let measure: u64 = n.parse().unwrap_or_else(|_| {
+        Some(n) => match n.parse::<u64>() {
+            Ok(measure) if measure > 0 => {
+                RunConfig::sized(measure / 2, measure, RunConfig::paper().seed)
+            }
+            _ => {
                 eprintln!("usage: <bin> [quick|paper|<refs>]");
                 std::process::exit(2);
-            });
-            RunConfig::sized(measure / 2, measure, RunConfig::paper().seed)
-        }
+            }
+        },
     }
 }
 

@@ -4,8 +4,8 @@
 //! function of `(workload, organization, RunConfig)`, so the thread
 //! count must be unobservable in every output. These tests pin that
 //! down at three levels — raw `RunResult`s (bit-exact equality over
-//! every counter), rendered figure text, and the numeric series the
-//! golden suite snapshots.
+//! every counter), the rendered text of every experiment entry, and
+//! the numeric series the golden suite snapshots.
 
 use cmp_bench::{figures, Lab, ResultSource, WorkloadId};
 use cmp_sim::{OrgKind, RunConfig};
@@ -101,45 +101,27 @@ fn mixes_are_thread_count_invariant_too() {
     }
 }
 
+/// Every entry of the one experiment table, rendered on demand from a
+/// 1-thread lab and from a prefetched 8-thread lab: text and series
+/// must agree byte for byte. This covers the studies' custom pool
+/// batches too, which run on the lab's worker count.
 #[test]
-fn every_figure_renders_byte_identically_from_the_parallel_lab() {
-    let mut seq = Lab::new(cfg());
+fn every_entry_renders_byte_identically_from_the_parallel_lab() {
+    let mut seq = Lab::with_threads(cfg(), 1);
     let mut par = Lab::with_threads(cfg(), 8);
-    par.prefetch(&figures::pairs::all()).expect("parallel sweep");
+    let pairs: Vec<_> = figures::ENTRIES.iter().flat_map(|e| (e.pairs)()).collect();
+    par.prefetch(&pairs).expect("parallel sweep");
 
-    let figures_seq: Vec<String> = vec![
-        figures::fig5(&mut seq),
-        figures::fig6(&mut seq),
-        figures::fig7(&mut seq),
-        figures::fig8(&mut seq),
-        figures::fig9(&mut seq),
-        figures::fig10(&mut seq),
-        figures::fig11(&mut seq),
-        figures::fig12(&mut seq),
-        figures::closest_dgroup_share(&mut seq),
-    ];
-    let figures_par: Vec<String> = vec![
-        figures::fig5(&mut par),
-        figures::fig6(&mut par),
-        figures::fig7(&mut par),
-        figures::fig8(&mut par),
-        figures::fig9(&mut par),
-        figures::fig10(&mut par),
-        figures::fig11(&mut par),
-        figures::fig12(&mut par),
-        figures::closest_dgroup_share(&mut par),
-    ];
-    for (i, (s, p)) in figures_seq.iter().zip(&figures_par).enumerate() {
-        assert_eq!(s, p, "figure #{i} diverged between sequential and parallel labs");
-    }
-
-    // The numeric series (what the golden suite snapshots and what
-    // the figure JSON is built from) must agree exactly as well.
-    for (name, _, extract) in figures::series::catalog() {
-        assert_eq!(extract(&mut seq), extract(&mut par), "series {name} diverged");
+    for e in figures::ENTRIES {
+        assert_eq!((e.render)(&mut seq), (e.render)(&mut par), "{} text diverged", e.name);
+        // The numeric series (what the golden suite snapshots) must
+        // agree exactly as well.
+        if let Some(series) = e.series {
+            assert_eq!(series(&mut seq), series(&mut par), "{} series diverged", e.name);
+        }
     }
 
     // And the parallel sweep took no more simulations than the
-    // sequential one — the memo dedup works across figures.
+    // sequential one — the memo dedup works across entries.
     assert_eq!(par.simulations(), seq.simulations());
 }

@@ -1,8 +1,9 @@
 //! Golden-figure regression suite.
 //!
-//! Every figure/table series produced by the seed-default
-//! [`RunConfig`] is snapshotted under `tests/goldens/*.json`. The
-//! harness recomputes each series (prefetching the whole sweep
+//! The series of every [`figures::ENTRIES`] entry that has one (the
+//! paper's figures and the studies) produced by the seed-default
+//! [`RunConfig`] is snapshotted under `tests/goldens/<name>.json`.
+//! The harness recomputes each series (prefetching every entry's pairs
 //! through the parallel lab) and compares against the snapshot with
 //! per-metric tolerances: sample counts must match exactly, every
 //! other metric within a tight relative tolerance. The simulator is
@@ -46,11 +47,12 @@ fn golden_figures_match() {
     let cfg = RunConfig::default();
     let update = std::env::var("UPDATE_GOLDENS").is_ok_and(|v| v == "1");
     let mut lab = Lab::new(cfg);
-    // One batch for the whole sweep: everything lands on the pool.
-    lab.prefetch(&figures::pairs::all()).expect("sweep must simulate");
+    // One batch for every entry's pairs: everything lands on the pool.
+    let pairs: Vec<_> = figures::ENTRIES.iter().flat_map(|e| (e.pairs)()).collect();
+    lab.prefetch(&pairs).expect("sweep must simulate");
 
     let mut failures: Vec<String> = Vec::new();
-    for (name, _, extract) in figures::series::catalog() {
+    for (name, extract) in figures::ENTRIES.iter().filter_map(|e| Some((e.name, e.series?))) {
         let series = extract(&mut lab);
         let current = golden_json(name, lab.config(), &series);
         let path = goldens_dir().join(format!("{name}.json"));
@@ -119,8 +121,8 @@ fn golden_figures_match() {
 }
 
 #[test]
-fn goldens_exist_for_every_catalogued_figure() {
-    for (name, _, _) in figures::series::catalog() {
+fn goldens_exist_for_every_entry_with_a_series() {
+    for name in figures::ENTRIES.iter().filter(|e| e.series.is_some()).map(|e| e.name) {
         let path = goldens_dir().join(format!("{name}.json"));
         assert!(
             path.exists() || std::env::var("UPDATE_GOLDENS").is_ok_and(|v| v == "1"),

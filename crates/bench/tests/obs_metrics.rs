@@ -59,24 +59,26 @@ fn live_snapshot_roundtrips_through_json_text() {
     assert_eq!(back, snap);
 }
 
-/// The zero-perturbation contract, pinned end to end: one golden
-/// figure simulated with the obs layer fully enabled (counters,
-/// spans, logging all live) must serialize byte-for-byte identical to
-/// the stock golden fixture produced without it.
+/// The zero-perturbation contract, pinned end to end: a golden figure
+/// (memoized pairs on the lab's pool) and a golden study (custom
+/// systems in one pool batch) simulated with the obs layer fully
+/// enabled (counters, spans, logging all live) must serialize
+/// byte-for-byte identical to the stock golden fixtures produced
+/// without it.
 #[test]
 fn golden_figure_is_byte_identical_with_obs_enabled() {
     cmp_obs::set_enabled(true);
-    let cfg = RunConfig::default();
-    let mut lab = Lab::new(cfg);
-    let (name, pairs, extract) =
-        figures::series::catalog().into_iter().next().expect("catalog is never empty");
-    lab.prefetch(&pairs).unwrap();
-    let series = extract(&mut lab);
-    let current = format!("{}\n", figures::series::golden_json(name, lab.config(), &series));
-    let path = goldens_dir().join(format!("{name}.json"));
-    let golden = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden {}: {e}", path.display()));
-    assert_eq!(current, golden, "obs-enabled run must not perturb {name}");
+    for name in ["fig5", "icache"] {
+        let entry = figures::entry(name).expect("entry exists");
+        let mut lab = Lab::new(RunConfig::default());
+        lab.prefetch(&(entry.pairs)()).unwrap();
+        let series = (entry.series.expect("entry has a series"))(&mut lab);
+        let current = format!("{}\n", figures::series::golden_json(name, lab.config(), &series));
+        let path = goldens_dir().join(format!("{name}.json"));
+        let golden = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("missing golden {}: {e}", path.display()));
+        assert_eq!(current, golden, "obs-enabled run must not perturb {name}");
+    }
 }
 
 /// A chaos-injected, journaled sweep drives the whole taxonomy: the

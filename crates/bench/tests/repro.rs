@@ -1,6 +1,7 @@
 //! The `repro` binary: its subcommands are exactly
 //! [`figures::ENTRIES`], and each prints its entry's renderer output
-//! byte for byte.
+//! byte for byte. Also checks the Table 1 and Table 2 blocks of
+//! EXPERIMENTS.md against their renderers.
 
 use std::process::{Command, Output};
 
@@ -24,8 +25,8 @@ fn unknown_subcommand_exits_2_listing_every_entry() {
         assert!(out.stdout.is_empty());
         let usage = String::from_utf8(out.stderr).unwrap();
         assert!(usage.contains("all"), "{usage}");
-        for (name, _, _) in figures::ENTRIES {
-            assert!(usage.contains(name), "usage misses {name}: {usage}");
+        for e in figures::ENTRIES {
+            assert!(usage.contains(e.name), "usage misses {}: {usage}", e.name);
         }
     }
 }
@@ -43,4 +44,29 @@ fn fig5_prints_the_figure_at_the_requested_sizing() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let mut lab = Lab::new(RunConfig::sized(300, 600, RunConfig::paper().seed));
     assert_eq!(String::from_utf8(out.stdout).unwrap(), figures::fig5(&mut lab));
+}
+
+#[test]
+fn zero_sizing_is_a_usage_error() {
+    // A run that measures nothing would print ratios of zero cycles.
+    let out = repro(&["fig6", "0"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty());
+    let usage = String::from_utf8(out.stderr).unwrap();
+    assert!(usage.contains("usage"), "{usage}");
+}
+
+/// The body of the first code block after `heading` in EXPERIMENTS.md.
+fn experiments_block(heading: &str) -> String {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../EXPERIMENTS.md");
+    let text = std::fs::read_to_string(path).expect("read EXPERIMENTS.md");
+    let section = &text[text.find(heading).unwrap_or_else(|| panic!("no {heading:?}"))..];
+    let block = section.split("```").nth(1).expect("a code block");
+    block.split_once('\n').expect("an info-string line").1.to_string()
+}
+
+#[test]
+fn experiments_md_tables_match_their_renderers() {
+    assert_eq!(experiments_block("## Table 1 "), figures::table1());
+    assert_eq!(experiments_block("## Table 2 "), figures::table2());
 }
