@@ -64,7 +64,7 @@ fn closest_of_hits(r: &RunResult) -> f64 {
 pub(crate) const ABLATION_BASELINES: [&str; 5] = ["oltp", "specjbb", "ocean", "MIX3", "MIX2"];
 
 const FACTORIAL: [(&str, &str, bool, bool); 4] = [
-    ("neither (migration only)", "neither", false, false),
+    ("neither (eager replication)", "neither", false, false),
     ("CR only", "cr-only", true, false),
     ("ISC only", "isc-only", false, true),
     ("CR + ISC (paper)", "cr+isc", true, true),

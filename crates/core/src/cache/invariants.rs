@@ -40,31 +40,31 @@ impl CmpNurapid {
         // 1. tag -> frame.
         for (c, arr) in self.tags.arrays() {
             for (set, way, block, entry) in arr.iter_all() {
-                if !entry.state.is_valid() {
+                if !entry.state().is_valid() {
                     return Err(Violation::at(
                         "resident-entry-valid",
                         c,
                         block,
                         "a valid MESIC state",
-                        format!("{:?} (set {set}, way {way})", entry.state),
+                        format!("{:?} (set {set}, way {way})", entry.state()),
                     ));
                 }
-                if !self.frame_occupied(entry.fwd) {
+                if !self.frame_occupied(entry.fwd()) {
                     return Err(Violation::at(
                         "forward-pointer-live",
                         c,
                         block,
                         "an occupied frame",
-                        format!("free frame {:?}", entry.fwd),
+                        format!("free frame {:?}", entry.fwd()),
                     ));
                 }
-                let frame = self.data.frame(entry.fwd);
+                let frame = self.data.frame(entry.fwd());
                 if frame.block != block {
                     return Err(Violation::at(
                         "forward-pointer-block",
                         c,
                         block,
-                        format!("frame {:?} holding {block}", entry.fwd),
+                        format!("frame {:?} holding {block}", entry.fwd()),
                         format!("frame holding {}", frame.block),
                     ));
                 }
@@ -85,12 +85,12 @@ impl CmpNurapid {
                 ));
             }
             let entry = self.entry(o.core, o.set as usize, o.way as usize);
-            if entry.fwd != fref {
+            if entry.fwd() != fref {
                 return Err(Violation::on_block(
                     "reverse-pointer-agrees",
                     frame.block,
                     format!("owner {o:?} forward-pointing at {fref:?}"),
-                    format!("forward pointer {:?}", entry.fwd),
+                    format!("forward pointer {:?}", entry.fwd()),
                 ));
             }
         }
@@ -104,7 +104,7 @@ impl CmpNurapid {
         };
         for (block, holders) in &entries_by_block {
             let states: Vec<MesicState> =
-                holders.iter().map(|(c, s, w)| self.entry(*c, *s, *w).state).collect();
+                holders.iter().map(|(c, s, w)| self.entry(*c, *s, *w).state()).collect();
             let frames = frames_by_block.get(block).map_or(&[][..], Vec::as_slice);
             if states.iter().any(|s| matches!(s, MesicState::Modified | MesicState::Exclusive)) {
                 if holders.len() != 1 {
@@ -125,13 +125,13 @@ impl CmpNurapid {
                 }
                 let (c, s, w) = holders[0];
                 let entry = self.entry(c, s, w);
-                if self.data.frame(entry.fwd).owner != self.tag_ref(c, s, w) {
+                if self.data.frame(entry.fwd()).owner != self.tag_ref(c, s, w) {
                     return Err(Violation::at(
                         "private-owns-frame",
                         c,
                         *block,
                         "the E/M holder owning its frame",
-                        format!("owner {:?}", self.data.frame(entry.fwd).owner),
+                        format!("owner {:?}", self.data.frame(entry.fwd()).owner),
                     ));
                 }
             }
@@ -145,7 +145,7 @@ impl CmpNurapid {
                     ));
                 }
                 let fwds: Vec<_> =
-                    holders.iter().map(|(c, s, w)| self.entry(*c, *s, *w).fwd).collect();
+                    holders.iter().map(|(c, s, w)| self.entry(*c, *s, *w).fwd()).collect();
                 if !fwds.windows(2).all(|w| w[0] == w[1]) {
                     return Err(Violation::on_block(
                         "c-single-pointer",

@@ -29,19 +29,19 @@ impl CmpNurapid {
         let set = arr.set_of(block);
         let way = arr.victim_by(set, |e| match e {
             None => 0,
-            Some(e) if e.payload.state.is_private() => 1,
+            Some(e) if e.payload.state().is_private() => 1,
             Some(_) => 2,
         });
         let mut hole = None;
         if let Some(victim_block) = self.tags.array(core).block_at(set, way) {
             let entry = *self.entry(core, set, way);
             let my_tag = self.tag_ref(core, set, way);
-            if self.data.frame(entry.fwd).owner == my_tag {
+            if self.data.frame(entry.fwd()).owner == my_tag {
                 // Owner: the data goes too. For a shared block this
                 // broadcasts BusRepl so other sharers drop their tag
                 // copies; for a private block only this tag falls.
-                hole = Some(entry.fwd.group);
-                self.evict_frame(entry.fwd, bus, now, inv);
+                hole = Some(entry.fwd().group);
+                self.evict_frame(entry.fwd(), bus, now, inv);
                 debug_assert!(
                     self.tags.array(core).block_at(set, way).is_none(),
                     "evict_frame must drop the owner tag"
@@ -77,7 +77,7 @@ impl CmpNurapid {
             // A copy of the candidate mask: the walk evicts as it goes.
             for c in self.tags.candidates(f.block) {
                 if let Some((s, w)) = self.lookup(c, f.block) {
-                    if self.entry(c, s, w).fwd == frame {
+                    if self.entry(c, s, w).fwd() == frame {
                         self.tags.evict(c, s, w);
                         inv.push(c, f.block);
                         self.stats.busrepl_invalidations += 1;
@@ -180,7 +180,7 @@ impl CmpNurapid {
         now: Cycle,
         inv: &mut InvalScratch,
     ) {
-        let fwd = self.entry(core, set, way).fwd;
+        let fwd = self.entry(core, set, way).fwd();
         let cur_rank = self.ranking.rank_of(core, fwd.group.index());
         debug_assert!(cur_rank > 0, "promotion of a block already closest");
         let target_rank = match self.cfg.promotion {
@@ -197,7 +197,7 @@ impl CmpNurapid {
         );
         self.ensure_free_frame(core, target, bus, now, inv);
         let nf = self.data.alloc(target, block, contents.owner);
-        self.entry_mut(core, set, way).fwd = nf;
+        self.entry_mut(core, set, way).set_fwd(nf);
         self.stats.promotions += 1;
     }
 }

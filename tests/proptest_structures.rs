@@ -358,6 +358,138 @@ proptest! {
     }
 }
 
+// ---- On-demand d-group storage against the eager store it replaced ---------
+
+/// One d-group as the data array used to store it: every frame,
+/// free-stack slot and position allocated up front, the free stack
+/// pre-filled with `n-1, ..., 1, 0`.
+struct EagerGroup {
+    frames: Vec<Option<(BlockAddr, TagRef)>>,
+    free: Vec<u32>,
+    occupied: Vec<u32>,
+    pos: Vec<u32>,
+}
+
+impl EagerGroup {
+    fn new(n: usize) -> Self {
+        EagerGroup {
+            frames: vec![None; n],
+            free: (0..n as u32).rev().collect(),
+            occupied: Vec::new(),
+            pos: vec![u32::MAX; n],
+        }
+    }
+
+    fn alloc(&mut self, block: BlockAddr, owner: TagRef) -> u32 {
+        let idx = self.free.pop().expect("alloc from a full d-group");
+        self.frames[idx as usize] = Some((block, owner));
+        self.pos[idx as usize] = self.occupied.len() as u32;
+        self.occupied.push(idx);
+        idx
+    }
+
+    fn release(&mut self, idx: u32) -> (BlockAddr, TagRef) {
+        let frame = self.frames[idx as usize].take().expect("free of an empty frame");
+        let p = self.pos[idx as usize] as usize;
+        let last = self.occupied.pop().expect("occupied list nonempty");
+        if last != idx {
+            self.occupied[p] = last;
+            self.pos[last as usize] = p as u32;
+        }
+        self.pos[idx as usize] = u32::MAX;
+        self.free.push(idx);
+        frame
+    }
+
+    /// Eight rejection samples, then a scan, as `DataArray` draws.
+    fn random_occupied(&self, rng: &mut Rng, busy: &[u32]) -> Option<u32> {
+        if self.occupied.is_empty() {
+            return None;
+        }
+        for _ in 0..8 {
+            let idx = self.occupied[rng.gen_index(self.occupied.len())];
+            if !busy.contains(&idx) {
+                return Some(idx);
+            }
+        }
+        self.occupied.iter().copied().find(|idx| !busy.contains(idx))
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+    #[test]
+    fn on_demand_dgroup_matches_the_eager_store(
+        n in 1usize..65,
+        fill_first in any::<bool>(),
+        seed in any::<u64>(),
+        ops in proptest::collection::vec((0u8..5, any::<u64>()), 1..300)
+    ) {
+        let g = DGroupId(1);
+        let mut data = DataArray::new(2, n);
+        let mut model = EagerGroup::new(n);
+        let (mut rng, mut model_rng) = (Rng::new(seed), Rng::new(seed));
+        let owner = |x: u64| TagRef { core: CoreId((x % 4) as u8), set: (x >> 8) as u32 % 512, way: (x >> 4) as u8 % 8 };
+        let frame = |index: u32| nurapid_suite::nurapid::FrameRef { group: g, index };
+        let mut next_block = 0u64;
+        let mut alloc = |data: &mut DataArray, model: &mut EagerGroup, x: u64| {
+            next_block += 1;
+            let f = data.alloc(g, BlockAddr(next_block), owner(x));
+            (f, model.alloc(BlockAddr(next_block), owner(x)))
+        };
+        if fill_first {
+            while data.has_free(g) {
+                let x = data.occupied(g) as u64;
+                let (f, want) = alloc(&mut data, &mut model, x);
+                prop_assert_eq!(f, frame(want));
+            }
+            prop_assert_eq!(model.free.len(), 0);
+        }
+        for (op, x) in ops {
+            let live = model.occupied.len();
+            match op {
+                // Alloc is twice as likely as free, so groups fill up.
+                0 | 1 if !model.free.is_empty() => {
+                    let (f, want) = alloc(&mut data, &mut model, x);
+                    prop_assert_eq!(f, frame(want));
+                }
+                0..=2 if live > 0 => {
+                    let idx = model.occupied[x as usize % live];
+                    let (block, o) = model.release(idx);
+                    let contents = data.free(frame(idx));
+                    prop_assert_eq!((contents.block, contents.owner), (block, o));
+                    prop_assert!(!data.is_occupied(frame(idx)));
+                }
+                3 if live > 0 => {
+                    let idx = model.occupied[x as usize % live];
+                    data.set_owner(frame(idx), owner(x >> 3));
+                    model.frames[idx as usize].as_mut().expect("occupied").1 = owner(x >> 3);
+                }
+                4 => {
+                    // Mark up to three occupied frames busy.
+                    let busy: Vec<u32> = model.occupied.iter().copied().take(x as usize % 4).collect();
+                    let busy_refs: Vec<_> = busy.iter().map(|&i| frame(i)).collect();
+                    let pick = data.random_occupied(g, &mut rng, &busy_refs);
+                    let want = model.random_occupied(&mut model_rng, &busy);
+                    prop_assert_eq!(pick, want.map(frame));
+                    prop_assert_eq!(&rng, &model_rng);
+                }
+                _ => {}
+            }
+            prop_assert_eq!(data.has_free(g), !model.free.is_empty());
+            prop_assert_eq!(data.occupied(g), model.occupied.len());
+            prop_assert_eq!(data.occupied(DGroupId(0)), 0);
+            for (i, slot) in model.frames.iter().enumerate() {
+                prop_assert_eq!(data.is_occupied(frame(i as u32)), slot.is_some());
+                if let Some((block, o)) = slot {
+                    let got = data.frame(frame(i as u32));
+                    prop_assert_eq!((got.block, got.owner), (*block, *o));
+                }
+            }
+        }
+    }
+}
+
 // ---- CMP-NuRAPID invariants under random access sequences --------------------
 
 proptest! {
