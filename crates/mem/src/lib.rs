@@ -26,11 +26,13 @@ pub mod addr;
 pub mod geometry;
 pub mod rng;
 pub mod stats;
+pub mod storage;
 
 pub use addr::{AccessKind, Addr, BlockAddr, CoreId, Cycle};
 pub use geometry::CacheGeometry;
 pub use rng::{zipf_interned_distributions, Rng, WeightedTable, Zipf};
 pub use stats::{Fraction, ReuseBucket, ReuseHistogram};
+pub use storage::{prefault, Storage};
 
 /// Number of cores in the paper's evaluated configuration (Section 4).
 ///
