@@ -72,8 +72,9 @@ fn main() {
         }
     }
     eprintln!(
-        "({} simulation runs, {:.0} ms sweep on {} thread(s))",
+        "({} simulation runs + {} study runs, {:.0} ms sweep on {} thread(s))",
         lab.simulations(),
+        lab.study_runs(),
         sweep_ms,
         lab.threads()
     );

@@ -19,7 +19,7 @@ use cmp_sim::{
 };
 
 use crate::journal::Journal;
-use crate::pool::{self, JobError};
+use crate::pool::{self, Job, JobError};
 use crate::sweep::{self, Resilience, SweepReport};
 
 /// Identifies a workload for the result cache.
@@ -245,6 +245,7 @@ pub struct Lab {
     cfg: RunConfig,
     cache: HashMap<Pair, RunResult>,
     simulations: usize,
+    study_runs: usize,
     threads: usize,
     resilience: Resilience,
     journal: Option<Journal>,
@@ -266,6 +267,7 @@ impl Lab {
             cfg,
             cache: HashMap::new(),
             simulations: 0,
+            study_runs: 0,
             threads: threads.max(1),
             resilience: Resilience::default(),
             journal: None,
@@ -333,6 +335,20 @@ impl Lab {
     /// duplicate submissions, and journal-restored pairs excluded).
     pub fn simulations(&self) -> usize {
         self.simulations
+    }
+
+    /// Number of custom systems run through [`Lab::run_study_jobs`].
+    pub fn study_runs(&self) -> usize {
+        self.study_runs
+    }
+
+    /// Runs a study's custom systems (machines no [`OrgKind`] names)
+    /// as one [`pool::run_jobs`] batch on the lab's workers and counts
+    /// them in [`Lab::study_runs`]. The results come back in
+    /// submission order and are neither cached nor journaled.
+    pub fn run_study_jobs<T: Send>(&mut self, jobs: Vec<Job<T>>) -> Vec<T> {
+        self.study_runs += jobs.len();
+        pool::run_jobs(jobs, self.threads)
     }
 
     /// Number of pairs restored from the checkpoint journal at

@@ -10,11 +10,12 @@
 //! `dnuca` and `energy` read catalog pairs through the [`Lab`]. The
 //! other four vary what an [`OrgKind`] cannot name — the
 //! [`NurapidConfig`], the core count, the latency book, instruction
-//! fetch — so each runs its custom systems as one [`pool::run_jobs`]
-//! batch on [`Lab::threads`] at the lab's [`RunConfig`]. The jobs
+//! fetch — so each runs its custom systems as one
+//! [`Lab::run_study_jobs`] batch at the lab's [`RunConfig`]. The jobs
 //! share no state and come back in submission order, so a study
-//! prints the same bytes at any thread count. Custom runs are not
-//! memoized: no two entries share one.
+//! prints the same bytes at any thread count. Custom runs are
+//! neither memoized nor journaled, although some repeat a catalog
+//! pair the figure sweep already ran.
 
 use cmp_cache::{AccessClass, CacheOrg, PrivateMesi, Snuca, UniformShared};
 use cmp_coherence::Bus;
@@ -30,7 +31,7 @@ use cmp_trace::{profiles, SyntheticWorkload};
 
 use crate::figures::series::Series;
 use crate::lab::{Lab, ResultSource, WorkloadId};
-use crate::pool::{self, Job};
+use crate::pool::Job;
 use crate::table::{pct, rel, TextTable};
 use crate::MULTITHREADED;
 
@@ -124,7 +125,7 @@ pub fn ablations(lab: &mut Lab) -> Study {
             jobs.push(nurapid_job(wl, NurapidConfig { c_collapse, ..paper() }, cfg));
         }
     }
-    let mut results = pool::run_jobs(jobs, lab.threads()).into_iter();
+    let mut results = lab.run_study_jobs(jobs).into_iter();
     let mut next = || results.next().expect("one result per job");
     let mut base = |wl: &'static str| lab.result(catalog(wl), OrgKind::Shared).ipc();
     let mut s = Study::new("ablations");
@@ -280,7 +281,7 @@ pub fn cores(lab: &mut Lab) -> Study {
             }));
         }
     }
-    let all = pool::run_jobs(jobs, lab.threads());
+    let all = lab.run_study_jobs(jobs);
     let mut s = Study::new("cores");
     let mut t = TextTable::new(vec![
         "cores",
@@ -429,7 +430,7 @@ pub fn icache(lab: &mut Lab) -> Study {
             }));
         }
     }
-    let all = pool::run_jobs(jobs, lab.threads());
+    let all = lab.run_study_jobs(jobs);
     let mut s = Study::new("icache");
     for (wl, results) in workloads.iter().zip(all.chunks(ICACHE_ORGS.len())) {
         let mut t = TextTable::new(vec![
@@ -491,7 +492,7 @@ pub fn sensitivity(lab: &mut Lab) -> Study {
             }
         }
     }
-    let all = pool::run_jobs(jobs, lab.threads());
+    let all = lab.run_study_jobs(jobs);
     let mut ipcs = all.chunks(3);
     let mut s = Study::new("sensitivity");
     s.text = "Sensitivity of the OLTP comparison (relative to uniform-shared)\n\n".to_string();

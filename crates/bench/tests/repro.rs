@@ -47,6 +47,16 @@ fn fig5_prints_the_figure_at_the_requested_sizing() {
 }
 
 #[test]
+fn the_summary_counts_lab_pairs_and_study_runs() {
+    // Ablations divide 21 custom CMP-NuRAPID runs by 5 uniform-shared
+    // catalog pairs.
+    let out = repro(&["ablations", "600"]);
+    assert!(out.status.success());
+    let summary = String::from_utf8(out.stderr).unwrap();
+    assert!(summary.contains("(5 simulation runs + 21 study runs, "), "{summary}");
+}
+
+#[test]
 fn zero_sizing_is_a_usage_error() {
     // A run that measures nothing would print ratios of zero cycles.
     let out = repro(&["fig6", "0"]);

@@ -20,7 +20,7 @@
 //! Candidates are walked lowest core first, so holders come back in
 //! core order, exactly as a scan over every core would find them.
 
-use cmp_mem::{prefault, BlockAddr, CacheGeometry, CoreId, Storage};
+use cmp_mem::{BlockAddr, CacheGeometry, CoreId, L2Vec, Storage};
 
 use crate::tag_array::{Entry, TagArray};
 use crate::violation::Violation;
@@ -79,7 +79,7 @@ pub struct CoreTags<P> {
     arrays: Vec<TagArray<P>>,
     /// `summary[set * BUCKETS + bucket]`: cores whose tag set holds a
     /// block in that bucket.
-    pub(crate) summary: Vec<u64>,
+    pub(crate) summary: L2Vec<u64>,
 }
 
 impl<P: Copy> CoreTags<P> {
@@ -100,14 +100,10 @@ impl<P: Copy> CoreTags<P> {
     /// Panics unless `1 <= cores <= 64`.
     pub fn with_storage(cores: usize, geom: CacheGeometry, storage: Storage) -> Self {
         assert!((1..=64).contains(&cores), "1..=64 cores required, got {cores}");
-        let mut summary = vec![0; geom.num_sets() * BUCKETS];
-        if storage == Storage::Eager {
-            prefault(&mut summary, 0);
-        }
         CoreTags {
             geom,
+            summary: L2Vec::zeroed(geom.num_sets() * BUCKETS, storage),
             arrays: (0..cores).map(|_| TagArray::with_storage(geom, storage)).collect(),
-            summary,
         }
     }
 
@@ -270,6 +266,31 @@ mod tests {
         let same = *blocks[1..].iter().find(|b| bucket(&g, **b) == bucket(&g, a)).unwrap();
         let other = *blocks[1..].iter().find(|b| bucket(&g, **b) != bucket(&g, a)).unwrap();
         (a, same, other)
+    }
+
+    #[test]
+    fn a_rebuilt_eager_summary_is_clean() {
+        let geom = CacheGeometry::new(32 << 10, 64, 4);
+        let blocks: Vec<_> = (0..2000).map(|b| BlockAddr(b * 5 + 3)).collect();
+        let mut dirty: CoreTags<u32> = CoreTags::with_storage(4, geom, Storage::Eager);
+        for (i, &b) in blocks.iter().enumerate() {
+            let core = CoreId((i % 4) as u8);
+            let set = dirty.array(core).set_of(b);
+            let way = i / 4 % 4;
+            dirty.evict(core, set, way);
+            dirty.fill(core, set, way, b, i as u32);
+        }
+        assert!(dirty.summary.iter().any(|&m| m != 0));
+        let summary = dirty.summary.as_ptr();
+        drop(dirty);
+        let rebuilt: CoreTags<u32> = CoreTags::with_storage(4, geom, Storage::Eager);
+        assert_eq!(rebuilt.summary.as_ptr(), summary, "the dropped summary is reused");
+        let fresh: CoreTags<u32> = CoreTags::with_storage(4, geom, Storage::Eager);
+        assert_eq!(rebuilt.summary, fresh.summary);
+        assert!(rebuilt.summary.iter().all(|&m| m == 0));
+        assert!(rebuilt.is_empty());
+        assert!(blocks.iter().all(|&b| rebuilt.candidates(b) == CoreMask(0)));
+        assert_eq!(rebuilt.check_summary(), Ok(()));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! this structure used before, on every access of every cache level.
 //!
 //! [`LruSets`] stores the rank vectors of a whole tag array in one
-//! flat `Vec<u64>`, `ceil(ways / 8)` words per set, with the mask of
+//! flat buffer of `u64`, `ceil(ways / 8)` words per set, with the mask of
 //! lanes backing real ways kept once for the array. Up to 8 ways a
 //! set costs one word: 4 B per slot at 2 ways, 1 B at 8 ways (a
 //! self-contained per-set order with its own mask cost 72 B). Each
@@ -17,7 +17,7 @@
 //! one zeroed allocation that costs no resident memory until touched
 //! (unless built with [`Storage::Eager`]).
 
-use cmp_mem::{prefault, Storage};
+use cmp_mem::{L2Vec, Storage};
 
 /// Byte-lane MSBs, the carry-free comparison bit of each lane.
 const LANE_MSB: u64 = 0x8080_8080_8080_8080;
@@ -68,7 +68,7 @@ pub struct LruSets {
     /// XOR `initial[i]`: byte lane `w` of the set's words holds way
     /// `w`'s rank XOR `w`; lanes beyond `ways` stay 0 and are masked
     /// out of every update.
-    ranks: Vec<u64>,
+    ranks: L2Vec<u64>,
     /// The initial rank vector, way `w` at rank `w`: the all-zero
     /// stored word.
     initial: [u64; WORDS],
@@ -108,10 +108,7 @@ impl LruSets {
             initial[w / LANES] |= (w as u64) << (8 * (w % LANES));
             valid[w / LANES] |= 0x80 << (8 * (w % LANES));
         }
-        let mut ranks = vec![0; sets * words];
-        if storage == Storage::Eager {
-            prefault(&mut ranks, 0);
-        }
+        let ranks = L2Vec::zeroed(sets * words, storage);
         LruSets { ranks, initial, valid, ways: ways as u8, words: words as u8 }
     }
 
@@ -341,6 +338,24 @@ mod tests {
         assert_eq!(lru.rank(0, 4), 3);
         assert_eq!(lru.least_recent(0), 3);
         assert_eq!(lru.most_recent(0), 0);
+    }
+
+    #[test]
+    fn rebuilt_eager_ranks_are_in_initial_order() {
+        let (sets, ways) = (600, 12); // two words per set
+        let mut dirty = LruSets::with_storage(sets, ways, Storage::Eager);
+        for i in 0..5000 {
+            dirty.touch(i % sets, i * 7 % ways);
+            dirty.demote(i * 3 % sets, i % ways);
+        }
+        let words = dirty.ranks.as_ptr();
+        drop(dirty);
+        let rebuilt = LruSets::with_storage(sets, ways, Storage::Eager);
+        assert_eq!(rebuilt.ranks.as_ptr(), words, "the dropped ranks are reused");
+        assert_eq!(rebuilt, LruSets::with_storage(sets, ways, Storage::Eager));
+        for set in 0..sets {
+            assert!(rebuilt.iter(set).eq(0..ways), "set {set}");
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! order for CMP-NuRAPID (Section 3.3.2).
 //!
 //! Storage is flat and holds each slot's state once: one contiguous
-//! `Vec<u64>` of complemented tags (scanned by [`TagArray::lookup`]
+//! buffer of `u64` complemented tags (scanned by [`TagArray::lookup`]
 //! without touching payloads, and the only copy of each tag, so a
 //! zero word is a vacant slot), one flat payload store that is read
 //! only where the tag says the slot is occupied, the packed recency
@@ -24,7 +24,7 @@
 
 use std::mem::MaybeUninit;
 
-use cmp_mem::{prefault, BlockAddr, CacheGeometry, Storage};
+use cmp_mem::{BlockAddr, CacheGeometry, L2Vec, Storage};
 
 use crate::lru::LruSets;
 
@@ -67,10 +67,10 @@ pub struct TagArray<P> {
     ways: usize,
     /// `tags[set * ways + way]`: the complement of the raw tag, or
     /// [`VACANT`].
-    tags: Vec<u64>,
+    tags: L2Vec<u64>,
     /// Entry storage, parallel to `tags`: initialized exactly where
     /// the tag is not [`VACANT`].
-    entries: Box<[MaybeUninit<Entry<P>>]>,
+    entries: L2Vec<MaybeUninit<Entry<P>>>,
     /// Recency order of every set.
     lru: LruSets,
     /// Occupied-slot count, maintained by `fill`/`evict`.
@@ -88,17 +88,11 @@ impl<P: Copy> TagArray<P> {
     /// memory as `storage` says.
     pub fn with_storage(geom: CacheGeometry, storage: Storage) -> Self {
         let slots = geom.num_sets() * geom.associativity();
-        let mut tags = vec![VACANT; slots];
-        let mut entries = Box::new_uninit_slice(slots);
-        if storage == Storage::Eager {
-            prefault(&mut tags, VACANT);
-            prefault(&mut entries, MaybeUninit::zeroed());
-        }
         TagArray {
             geom,
             ways: geom.associativity(),
-            tags,
-            entries,
+            tags: L2Vec::zeroed(slots, storage), // all VACANT
+            entries: L2Vec::uninit(slots, storage),
             lru: LruSets::with_storage(geom.num_sets(), geom.associativity(), storage),
             occupied: 0,
         }
@@ -403,6 +397,32 @@ mod tests {
         fill_block(&mut t, BlockAddr(1), 2);
         fill_block(&mut t, BlockAddr(2), 3);
         assert_eq!(t.iter_all().count(), 3);
+    }
+
+    #[test]
+    fn a_rebuilt_eager_array_is_as_clean_as_a_fresh_one() {
+        let geom = CacheGeometry::new(64 << 10, 64, 8); // 128 sets of 8 ways
+        let blocks: Vec<_> = (0..3000).map(|b| BlockAddr(b * 7 + 1)).collect();
+        let mut dirty: TagArray<u32> = TagArray::with_storage(geom, Storage::Eager);
+        for (i, &b) in blocks.iter().enumerate() {
+            fill_block(&mut dirty, b, i as u32);
+            let set = dirty.set_of(b);
+            dirty.touch(set, i % 8);
+        }
+        assert_eq!(dirty.len(), 1024);
+        let buffers = (dirty.tags.as_ptr(), dirty.entries.as_ptr() as usize);
+        drop(dirty);
+        let rebuilt: TagArray<u32> = TagArray::with_storage(geom, Storage::Eager);
+        assert_eq!((rebuilt.tags.as_ptr(), rebuilt.entries.as_ptr() as usize), buffers);
+        let fresh = TagArray::with_storage(geom, Storage::Eager);
+        for t in [&rebuilt, &fresh] {
+            assert!(t.is_empty());
+            assert!(blocks.iter().all(|&b| t.lookup(b).is_none()));
+            assert_eq!(t.iter_all().count(), 0);
+            for set in 0..geom.num_sets() {
+                assert!((0..8).all(|way| t.recency_rank(set, way) == way), "set {set}");
+            }
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub use addr::{AccessKind, Addr, BlockAddr, CoreId, Cycle};
 pub use geometry::CacheGeometry;
 pub use rng::{zipf_interned_distributions, Rng, WeightedTable, Zipf};
 pub use stats::{Fraction, ReuseBucket, ReuseHistogram};
-pub use storage::{prefault, Storage};
+pub use storage::{L2Vec, Storage};
 
 /// Number of cores in the paper's evaluated configuration (Section 4).
 ///
