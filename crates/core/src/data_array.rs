@@ -79,9 +79,10 @@ const FREE: u32 = u32::MAX;
 /// on a stack that `alloc` pops before it takes a never-used one.
 /// This hands out indices in exactly the order of a LIFO free stack
 /// pre-filled with `capacity-1, ..., 1, 0`, so a d-group a run never
-/// fills costs memory only for the frames the run touched. With
-/// [`Storage::Eager`] the [`L2Vec`]s hold the whole capacity and back
-/// it at construction instead, and never reallocate.
+/// fills costs memory only for the frames the run touched. Each
+/// [`L2Vec`] reserves the whole capacity and never moves; on demand
+/// its pages are backed as frames are first written, and with
+/// [`Storage::Eager`] at construction instead.
 #[derive(Clone, Debug)]
 struct DGroupStore {
     slots: L2Vec<Slot>,

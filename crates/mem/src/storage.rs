@@ -3,11 +3,9 @@
 //!
 //! Every L2 buffer (tags and payloads, recency ranks, the holder
 //! summary, d-group frames) is an [`L2Vec`], a buffer of bounded length
-//! built as a [`Storage`] says. An on-demand buffer is a zeroed,
-//! uninitialized or growing allocation of the global allocator, so the
-//! OS backs a page only when a run first writes it. That is what makes a 64-core
-//! machine's 128 MB L2, which a run leaves mostly empty, cheap to
-//! build.
+//! built as a [`Storage`] says. An on-demand buffer is backed only as a
+//! run first writes each page. That is what makes a 64-core machine's
+//! 128 MB L2, which a run leaves mostly empty, cheap to build.
 //!
 //! At the paper's 8 MB a run that warms the cache writes nearly every
 //! page of its tag arrays anyway, so on-demand backing saves little
@@ -19,36 +17,49 @@
 //! [`crate::L2_TOTAL_BYTES`] in full at construction
 //! ([`Storage::Eager`]).
 //!
-//! Backing costs a page fault per page, and the allocator hands a
-//! dropped L2's megabytes back to the OS, so a process that builds one
-//! machine after another (a figure sweep) would fault the same pages in
-//! again for every build. Eager buffers are therefore carved from an
-//! *arena* of the building thread: one global allocation of 8 MiB,
-//! whose pages stay with the thread once written. One rule serves
-//! every L2 request on that thread:
+//! Both kinds are recycled on the building thread, so a process that
+//! builds one machine after another (a figure sweep, a cores ladder)
+//! does not fault the same pages in again for every build, nor clear
+//! pages a run never touches. Each thread has two page sources, used
+//! by one rule: a request takes the whole pages after the previous
+//! request's, or the source's first pages once no buffer carved from
+//! it is alive any more.
 //!
-//! - an eager request takes the whole pages after the previous eager
-//!   request's, or the arena's first pages if no buffer carved from the
-//!   arena is alive any more. The pages are cleared if the request is
-//!   zeroed and backed otherwise; pages an earlier request wrote are
-//!   resident already, so neither faults them in again;
-//! - an on-demand request gives the arena back to the allocator as
-//!   soon as no buffer carved from it is alive; the next eager request
-//!   allocates a new one.
+//! - Eager buffers come from the thread's *arena*, one global
+//!   allocation of 8 MiB. Zeroed requests are cleared and others get a
+//!   byte written in each page, so the buffer is resident at once;
+//!   pages an earlier request wrote are resident already, so neither
+//!   faults them in again. An on-demand request gives the arena back
+//!   to the allocator as soon as no buffer carved from it is alive;
+//!   the next eager request allocates a new one.
+//! - On-demand buffers come from the thread's *region*, one anonymous
+//!   mapping of 4 GiB that reserves address space only
+//!   (`MAP_NORESERVE`, without huge pages, so a written byte backs
+//!   4 KiB and not 2 MiB). Pages above the region's watermark, the
+//!   end of the furthest request so far, have never been handed out,
+//!   so they are the kernel's zero pages until a run writes them. Below
+//!   it, a zeroed request asks the kernel (`mincore`) which pages are
+//!   resident: those are cleared with stores, and the rest are dropped
+//!   (`MADV_DONTNEED`), so a page swapped out since is never handed
+//!   back holding old data. A build after a machine at least as large
+//!   thus faults nothing and clears only the pages an earlier machine
+//!   wrote. The region stays with the thread until it exits.
 //!
-//! So a build that follows the drop of a machine at least as large
-//! faults nothing, and a thread keeps at most the most eager storage it
-//! has had alive at once, all of which was resident then anyway. A
-//! buffer holds its arena alive wherever it is dropped, so buffers may
-//! move between threads. An eager request the arena cannot hold is a
-//! global allocation backed at construction and freed when dropped.
+//! A buffer holds its arena or region alive wherever it is dropped, so
+//! buffers may move between threads. A request its source cannot hold
+//! is a global allocation of its own: backed at construction if eager,
+//! zeroed or uninitialized at full size if on demand. Off Linux on
+//! x86-64 and AArch64, on hosts whose pages are not 4 KiB, and where
+//! the reservation fails, every on-demand request is such an
+//! allocation.
 
 use std::alloc::{self, Layout};
 use std::cell::RefCell;
-use std::mem::{ManuallyDrop, MaybeUninit};
+use std::mem::MaybeUninit;
 use std::ops::{Deref, DerefMut};
 use std::ptr::NonNull;
 use std::sync::Arc;
+use std::thread::LocalKey;
 
 use crate::L2_TOTAL_BYTES;
 
@@ -58,8 +69,7 @@ pub enum Storage {
     /// As a run first writes each page.
     OnDemand,
     /// At construction: every page is written once, so the
-    /// structure's resident size is fixed from the start. Its pages are
-    /// recycled (see the module docs).
+    /// structure's resident size is fixed from the start.
     Eager,
 }
 
@@ -82,8 +92,8 @@ impl Storage {
     }
 }
 
-/// Bytes of a page: arena requests take whole pages, and backing
-/// writes one byte in each page.
+/// Bytes of a page: requests take whole pages, and backing writes one
+/// byte in each page.
 const PAGE_BYTES: usize = 4096;
 
 /// Writes a zero byte every [`PAGE_BYTES`] of the `len` bytes from
@@ -108,10 +118,166 @@ unsafe fn prefault(ptr: *mut u8, len: usize) {
 /// become resident.
 const ARENA_BYTES: usize = L2_TOTAL_BYTES;
 
-/// The memory of an arena: a global allocation of [`ARENA_BYTES`],
-/// freed when the last buffer carved from it and the thread that
-/// owns it have both let it go.
-struct Block(NonNull<u8>);
+/// The calls that reserve, clear and release a region.
+#[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+mod os {
+    use std::ffi::{c_int, c_long, c_void};
+    use std::ptr::{self, NonNull};
+
+    use super::PAGE_BYTES;
+
+    /// Bytes of a thread's region: address space only, room for
+    /// several 64-core machines (a 64-core NuRAPID reserves about
+    /// 100 MiB).
+    pub(super) const REGION_BYTES: usize = 1 << 32;
+
+    const PROT_READ: c_int = 0x1;
+    const PROT_WRITE: c_int = 0x2;
+    const MAP_PRIVATE: c_int = 0x02;
+    const MAP_ANONYMOUS: c_int = 0x20;
+    const MAP_NORESERVE: c_int = 0x4000;
+    const MADV_DONTNEED: c_int = 4;
+    const MADV_NOHUGEPAGE: c_int = 15;
+    const SC_PAGESIZE: c_int = 30;
+
+    unsafe extern "C" {
+        fn mmap(
+            addr: *mut c_void,
+            len: usize,
+            prot: c_int,
+            flags: c_int,
+            fd: c_int,
+            offset: c_long,
+        ) -> *mut c_void;
+        fn munmap(addr: *mut c_void, len: usize) -> c_int;
+        fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
+        fn mincore(addr: *mut c_void, len: usize, vec: *mut u8) -> c_int;
+        fn sysconf(name: c_int) -> c_long;
+    }
+
+    /// A fresh mapping of [`REGION_BYTES`] that reserves address space
+    /// only, or `None` if the host's pages are not [`PAGE_BYTES`] or
+    /// the kernel refuses.
+    pub(super) fn reserve() -> Option<NonNull<u8>> {
+        // SAFETY: `sysconf` only reads a system constant.
+        if unsafe { sysconf(SC_PAGESIZE) } != PAGE_BYTES as c_long {
+            return None;
+        }
+        // SAFETY: a new private anonymous mapping at an address the
+        // kernel picks overlaps no memory the program uses.
+        let ptr = unsafe {
+            mmap(
+                ptr::null_mut(),
+                REGION_BYTES,
+                PROT_READ | PROT_WRITE,
+                MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE,
+                -1,
+                0,
+            )
+        };
+        if ptr as isize == -1 {
+            return None;
+        }
+        // SAFETY: the range is the mapping just made. Should the advice
+        // fail, only the size of a page the kernel backs changes.
+        unsafe { madvise(ptr, REGION_BYTES, MADV_NOHUGEPAGE) };
+        NonNull::new(ptr.cast())
+    }
+
+    /// Unmaps a mapping made by [`reserve`].
+    ///
+    /// # Safety
+    ///
+    /// `ptr` must be a mapping made by [`reserve`] that no live buffer
+    /// lies in.
+    pub(super) unsafe fn release(ptr: NonNull<u8>) {
+        // SAFETY: as the caller guarantees.
+        unsafe { munmap(ptr.as_ptr().cast(), REGION_BYTES) };
+    }
+
+    /// Zeroes the whole pages of the `len` bytes from `ptr`: resident
+    /// pages are cleared with stores, and the kernel drops the rest,
+    /// which then read as zero. Clearing is correct for any page, so
+    /// if `mincore` fails every page of the batch is cleared.
+    ///
+    /// # Safety
+    ///
+    /// `ptr` must be page-aligned, and the `len` bytes (a multiple of
+    /// [`PAGE_BYTES`]) part of a mapping made by [`reserve`] and owned
+    /// by the caller.
+    pub(super) unsafe fn clear(ptr: *mut u8, len: usize) {
+        let mut resident = [0u8; 1024];
+        for start in (0..len).step_by(resident.len() * PAGE_BYTES) {
+            let batch = (len - start).min(resident.len() * PAGE_BYTES);
+            let pages = &mut resident[..batch / PAGE_BYTES];
+            // SAFETY: the batch lies inside the mapping and starts on a
+            // page; `pages` has a byte for each of its pages.
+            if unsafe { mincore(ptr.add(start).cast(), batch, pages.as_mut_ptr()) } != 0 {
+                pages.fill(1);
+            }
+            let mut run_start = start;
+            for run in pages.chunk_by(|a, b| a & 1 == b & 1) {
+                let run_len = run.len() * PAGE_BYTES;
+                // SAFETY: the run's pages lie inside the batch, which
+                // the caller owns.
+                unsafe {
+                    let run_ptr = ptr.add(run_start);
+                    if run[0] & 1 == 1 || madvise(run_ptr.cast(), run_len, MADV_DONTNEED) != 0 {
+                        run_ptr.write_bytes(0, run_len);
+                    }
+                }
+                run_start += run_len;
+            }
+        }
+    }
+
+    /// How many of the pages of the `len` bytes from `ptr` (page-aligned,
+    /// inside a mapping) are resident.
+    #[cfg(test)]
+    pub(super) fn resident_pages(ptr: *const u8, len: usize) -> usize {
+        let mut resident = vec![0u8; len.div_ceil(PAGE_BYTES)];
+        // SAFETY: `resident` has a byte for each page of the range.
+        let status = unsafe { mincore(ptr.cast_mut().cast(), len, resident.as_mut_ptr()) };
+        assert_eq!(status, 0, "mincore");
+        resident.iter().filter(|&&r| r & 1 == 1).count()
+    }
+}
+
+/// Off the hosts above no region is reserved, so nothing is cleared
+/// or released.
+#[cfg(not(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64"))))]
+mod os {
+    use std::ptr::NonNull;
+
+    pub(super) const REGION_BYTES: usize = 0;
+
+    pub(super) fn reserve() -> Option<NonNull<u8>> {
+        None
+    }
+
+    pub(super) unsafe fn release(_ptr: NonNull<u8>) {
+        unreachable!("no region is reserved on this host")
+    }
+
+    pub(super) unsafe fn clear(_ptr: *mut u8, _len: usize) {
+        unreachable!("no region is reserved on this host")
+    }
+
+    #[cfg(test)]
+    pub(super) fn resident_pages(_ptr: *const u8, _len: usize) -> usize {
+        unreachable!("no region is reserved on this host")
+    }
+}
+
+/// The memory of an arena or region, freed when the last buffer carved
+/// from it and the thread that owns it have both let it go.
+struct Block {
+    ptr: NonNull<u8>,
+    /// Which buffers it serves: an arena (a global allocation of
+    /// [`ARENA_BYTES`]) serves eager ones, a region (a mapping of
+    /// [`os::REGION_BYTES`]) on-demand ones.
+    storage: Storage,
+}
 
 // SAFETY: the block is plain memory, and each buffer carved from it
 // owns its own pages; the `Block` itself only frees it.
@@ -120,81 +286,117 @@ unsafe impl Send for Block {}
 unsafe impl Sync for Block {}
 
 impl Block {
-    fn layout() -> Layout {
+    fn arena_layout() -> Layout {
         Layout::from_size_align(ARENA_BYTES, PAGE_BYTES).expect("arena layout")
     }
 
-    /// A new block, or `None` if the allocator has no room for one
+    /// A new arena, or `None` if the allocator has no room for one
     /// (eager requests then take global allocations of their own).
-    fn new() -> Option<Block> {
+    fn arena() -> Option<Block> {
         // SAFETY: the layout's size is not zero.
-        let ptr = unsafe { alloc::alloc(Block::layout()) };
-        NonNull::new(ptr).map(Block)
+        let ptr = unsafe { alloc::alloc(Block::arena_layout()) };
+        Some(Block { ptr: NonNull::new(ptr)?, storage: Storage::Eager })
+    }
+
+    /// A new region, or `None` if none can be reserved (on-demand
+    /// requests then take global allocations of their own).
+    fn region() -> Option<Block> {
+        Some(Block { ptr: os::reserve()?, storage: Storage::OnDemand })
     }
 }
 
 impl Drop for Block {
     fn drop(&mut self) {
-        // SAFETY: `new` allocated the block with this layout, and no
-        // buffer carved from it is alive (each holds an `Arc` of it).
-        unsafe { alloc::dealloc(self.0.as_ptr(), Block::layout()) };
+        // SAFETY: `arena` or `region` made the block as its `storage`
+        // says, and no buffer carved from it is alive (each holds an
+        // `Arc` of it).
+        unsafe {
+            match self.storage {
+                Storage::Eager => alloc::dealloc(self.ptr.as_ptr(), Block::arena_layout()),
+                Storage::OnDemand => os::release(self.ptr),
+            }
+        }
     }
 }
 
-/// A thread's arena.
-struct Arena {
+/// A thread's arena or region.
+struct Pages {
     block: Option<Arc<Block>>,
     /// Offset of the next request's first page.
     next: usize,
-    /// Bytes from the start of the block that requests have written.
+    /// Bytes from the start of the block that requests have been handed
+    /// and so may have written: the watermark.
     touched: usize,
 }
 
-thread_local! {
-    static ARENA: RefCell<Arena> =
-        const { RefCell::new(Arena { block: None, next: 0, touched: 0 }) };
+impl Pages {
+    const EMPTY: Pages = Pages { block: None, next: 0, touched: 0 };
+
+    /// Takes `bytes` (whole pages) for a request from the block, made
+    /// by `make` if there is none, of `size` bytes. Returns the block,
+    /// the request's offset in it and the watermark before the request,
+    /// or `None` if the block cannot hold it.
+    fn take(
+        &mut self,
+        bytes: usize,
+        size: usize,
+        make: fn() -> Option<Block>,
+    ) -> Option<(Arc<Block>, usize, usize)> {
+        let block = match &mut self.block {
+            Some(block) => block,
+            None => {
+                (self.next, self.touched) = (0, 0);
+                self.block.insert(Arc::new(make()?))
+            }
+        };
+        if Arc::get_mut(block).is_some() {
+            // No buffer carved from the block is alive.
+            self.next = 0;
+        }
+        if size - self.next < bytes {
+            return None;
+        }
+        let (offset, touched) = (self.next, self.touched);
+        self.next += bytes;
+        self.touched = touched.max(self.next);
+        Some((Arc::clone(block), offset, touched))
+    }
 }
 
-/// `bytes` (whole pages) of the thread's arena for an eager request,
-/// backed, and zero if `zeroed`, with the block they lie in; `None`
-/// if the arena cannot hold them.
-fn carve(bytes: usize, zeroed: bool) -> Option<(NonNull<u8>, Arc<Block>)> {
-    ARENA
-        .try_with(|arena| {
-            let Arena { block, next, touched } = &mut *arena.borrow_mut();
-            let block = match block {
-                Some(block) => block,
-                None => {
-                    (*next, *touched) = (0, 0);
-                    block.insert(Arc::new(Block::new()?))
-                }
-            };
-            if Arc::get_mut(block).is_some() {
-                // No buffer carved from the arena is alive.
-                *next = 0;
+thread_local! {
+    static ARENA: RefCell<Pages> = const { RefCell::new(Pages::EMPTY) };
+    static REGION: RefCell<Pages> = const { RefCell::new(Pages::EMPTY) };
+}
+
+/// `bytes` (whole pages) for a request from the thread's arena
+/// (eager) or region (on demand), made ready as the module docs say
+/// and zero if `zeroed`, with the block they lie in; `None` if the
+/// block cannot hold them.
+fn carve(storage: Storage, bytes: usize, zeroed: bool) -> Option<(NonNull<u8>, Arc<Block>)> {
+    let (pages, size, make): (&LocalKey<RefCell<Pages>>, _, fn() -> _) = match storage {
+        Storage::Eager => (&ARENA, ARENA_BYTES, Block::arena),
+        Storage::OnDemand => (&REGION, os::REGION_BYTES, Block::region),
+    };
+    let (block, offset, touched) =
+        pages.try_with(|pages| pages.borrow_mut().take(bytes, size, make)).ok().flatten()?;
+    // SAFETY: `take` keeps `offset + bytes` within the block's `size`
+    // bytes, so the pages lie inside it, and no live buffer holds them:
+    // buffers carved since the last restart lie below `offset`, and
+    // none carved before is alive. The block starts on a page, and
+    // `offset` and `bytes` are whole pages.
+    unsafe {
+        let ptr = block.ptr.add(offset);
+        match storage {
+            Storage::Eager if zeroed => ptr.as_ptr().write_bytes(0, bytes),
+            Storage::Eager => prefault(ptr.as_ptr(), bytes),
+            // Pages at or above the watermark were never handed out.
+            Storage::OnDemand if zeroed && offset < touched => {
+                os::clear(ptr.as_ptr(), bytes.min(touched - offset))
             }
-            if ARENA_BYTES - *next < bytes {
-                return None;
-            }
-            let offset = *next;
-            *next += bytes;
-            *touched = (*touched).max(*next);
-            // SAFETY: `offset + bytes <= ARENA_BYTES`, so the pages lie
-            // inside the block, and no live buffer holds them: buffers
-            // carved since the last restart lie below `offset`, and none
-            // carved before is alive.
-            unsafe {
-                let ptr = block.0.add(offset);
-                if zeroed {
-                    ptr.as_ptr().write_bytes(0, bytes);
-                } else {
-                    prefault(ptr.as_ptr(), bytes);
-                }
-                Some((ptr, Arc::clone(block)))
-            }
-        })
-        .ok()
-        .flatten()
+            Storage::OnDemand => {}
+        }
+        Some((ptr, block))
+    }
 }
 
 /// Lets the thread's arena go.
@@ -238,60 +440,50 @@ pub fn retained_bytes() -> usize {
 pub struct L2Vec<T> {
     ptr: NonNull<T>,
     len: usize,
-    /// The most elements the buffer may hold.
+    /// The most elements the buffer may hold; its memory has room for
+    /// them all.
     capacity: usize,
-    /// The elements its memory holds: `capacity`, except in an
-    /// on-demand buffer built empty and in a clone, which grow as
-    /// elements are pushed, like a `Vec`.
-    allocated: usize,
-    /// The arena the buffer was carved from, or `None` if it is a
-    /// global allocation.
-    arena: Option<Arc<Block>>,
+    /// The arena or region the buffer was carved from, or `None` if it
+    /// is a global allocation of `capacity` elements.
+    block: Option<Arc<Block>>,
 }
 
-// SAFETY: `ptr`, `len` and `allocated` own the elements as a `Vec`'s
-// do, `capacity` is a plain limit, and `arena` is an `Arc` of a
-// `Send + Sync` block that keeps the elements' memory allocated
-// wherever the buffer is dropped.
+// SAFETY: `ptr` and `len` own the elements as a `Vec`'s do, `capacity`
+// is a plain limit, and `block` is an `Arc` of a `Send + Sync` block
+// that keeps the elements' memory allocated wherever the buffer is
+// dropped.
 unsafe impl<T: Send> Send for L2Vec<T> {}
 // SAFETY: shared access only reads the elements.
 unsafe impl<T: Sync> Sync for L2Vec<T> {}
 
 impl<T: Copy> L2Vec<T> {
     /// An empty buffer with room for `capacity` elements, backed as
-    /// `storage` says. An on-demand one allocates as elements are
-    /// pushed, so its memory grows with its length, as a `Vec`'s does.
+    /// `storage` says. An on-demand one is a reservation: a page is
+    /// backed when a pushed element first lands in it, and the buffer
+    /// never moves.
     pub fn with_capacity(capacity: usize, storage: Storage) -> Self {
-        match storage {
-            Storage::Eager => Self::allocated(0, capacity, false, storage),
-            Storage::OnDemand => {
-                give_up();
-                L2Vec { ptr: NonNull::dangling(), len: 0, capacity, allocated: 0, arena: None }
-            }
-        }
+        Self::allocated(0, capacity, false, storage)
     }
 
     /// A buffer of `len` elements and room for `capacity`. Only
     /// `zeroed` buffers may have a non-zero `len`, and only for element
     /// types whose all-zero bytes are a value.
     fn allocated(len: usize, capacity: usize, zeroed: bool, storage: Storage) -> Self {
+        if storage == Storage::OnDemand {
+            give_up();
+        }
         let layout = Layout::array::<T>(capacity).expect("L2 buffer size overflows");
         assert!(layout.align() <= PAGE_BYTES, "L2 elements must align within a page");
-        let mut buffer =
-            L2Vec { ptr: NonNull::dangling(), len, capacity, allocated: capacity, arena: None };
+        let mut buffer = L2Vec { ptr: NonNull::dangling(), len, capacity, block: None };
         if layout.size() == 0 {
             return buffer;
         }
-        match storage {
-            Storage::Eager => {
-                let bytes = layout.size().next_multiple_of(PAGE_BYTES);
-                if let Some((ptr, block)) = carve(bytes, zeroed) {
-                    buffer.ptr = ptr.cast();
-                    buffer.arena = Some(block);
-                    return buffer;
-                }
-            }
-            Storage::OnDemand => give_up(),
+        if let Some((ptr, block)) =
+            carve(storage, layout.size().next_multiple_of(PAGE_BYTES), zeroed)
+        {
+            buffer.ptr = ptr.cast();
+            buffer.block = Some(block);
+            return buffer;
         }
         buffer.ptr = global(layout, zeroed).cast();
         if storage == Storage::Eager {
@@ -310,34 +502,10 @@ impl<T: Copy> L2Vec<T> {
     #[inline]
     pub fn push(&mut self, value: T) {
         assert!(self.len < self.capacity, "push onto a full L2 buffer");
-        if self.len == self.allocated {
-            self.grow();
-        }
-        // SAFETY: `len < allocated`, so the slot lies inside the
+        // SAFETY: `len < capacity`, so the slot lies inside the
         // buffer's memory.
         unsafe { self.ptr.as_ptr().add(self.len).write(value) };
         self.len += 1;
-    }
-
-    /// Makes room for more elements, as a `Vec` would.
-    #[cold]
-    fn grow(&mut self) {
-        // Only a buffer that was built empty on demand, or cloned, has
-        // less memory than capacity, and its memory, if any, is a
-        // global allocation of `allocated` elements.
-        debug_assert!(self.arena.is_none());
-        let mut vec = ManuallyDrop::new(if self.allocated == 0 {
-            Vec::new()
-        } else {
-            // SAFETY: the global allocator allocated `ptr` for exactly
-            // `allocated` elements (in `global` or an earlier `grow`),
-            // and the first `len` are initialized. The `Vec` takes the
-            // memory over, and `self` takes it back below.
-            unsafe { Vec::from_raw_parts(self.ptr.as_ptr(), self.len, self.allocated) }
-        });
-        vec.reserve(1);
-        self.ptr = NonNull::new(vec.as_mut_ptr()).expect("a Vec with room has memory");
-        self.allocated = vec.capacity();
     }
 
     /// Removes and returns the last element.
@@ -379,13 +547,12 @@ impl<T: Copy> L2Vec<MaybeUninit<T>> {
 
 impl<T> Drop for L2Vec<T> {
     fn drop(&mut self) {
-        let layout = Layout::array::<T>(self.allocated).expect("a live buffer's layout");
-        if self.arena.is_none() && layout.size() != 0 {
-            // SAFETY: the global allocator allocated the buffer with
-            // this layout (in `global` or `grow`).
+        let layout = Layout::array::<T>(self.capacity).expect("a live buffer's layout");
+        if self.block.is_none() && layout.size() != 0 {
+            // SAFETY: `global` allocated the buffer with this layout.
             unsafe { alloc::dealloc(self.ptr.as_ptr().cast(), layout) };
         }
-        // A buffer carved from an arena only lets the arena go.
+        // A buffer carved from an arena or region only lets it go.
     }
 }
 
@@ -408,18 +575,22 @@ impl<T> DerefMut for L2Vec<T> {
     }
 }
 
-/// A clone is a global allocation that grows as its elements are
-/// copied in; making one leaves the thread's arena alone.
+/// A clone is an uninitialized global allocation of the same capacity
+/// that the elements are copied into; making one leaves the thread's
+/// arena and region alone.
 impl<T: Copy> Clone for L2Vec<T> {
     fn clone(&self) -> Self {
-        let mut copy = L2Vec {
-            ptr: NonNull::dangling(),
-            len: 0,
-            capacity: self.capacity,
-            allocated: 0,
-            arena: None,
-        };
-        self.iter().for_each(|&x| copy.push(x));
+        let layout = Layout::array::<T>(self.capacity).expect("a live buffer's layout");
+        let mut copy: Self =
+            L2Vec { ptr: NonNull::dangling(), len: 0, capacity: self.capacity, block: None };
+        if layout.size() != 0 {
+            copy.ptr = global(layout, false).cast();
+        }
+        // SAFETY: `copy` has room for `capacity >= len` elements in an
+        // allocation of its own, and `self`'s first `len` are
+        // initialized.
+        unsafe { copy.ptr.as_ptr().copy_from_nonoverlapping(self.ptr.as_ptr(), self.len) };
+        copy.len = self.len;
         copy
     }
 }
@@ -492,11 +663,11 @@ mod tests {
         on_a_fresh_thread(|| {
             let most = L2Vec::<MaybeUninit<u64>>::uninit(ARENA_BYTES / 8 - 512, Storage::Eager);
             let too_many = L2Vec::zeroed(1024, Storage::Eager);
-            assert!(most.arena.is_some() && too_many.arena.is_none());
+            assert!(most.block.is_some() && too_many.block.is_none());
             assert!(too_many.iter().all(|&w| w == 0));
             drop((most, too_many));
             let fits = L2Vec::zeroed(1024, Storage::Eager);
-            assert!(fits.arena.is_some(), "the arena is free again");
+            assert!(fits.block.is_some(), "the arena is free again");
         });
     }
 
@@ -510,7 +681,7 @@ mod tests {
             assert!(on_demand.iter().all(|&w| w == 0));
             eager[63] = 5; // still its own, though its arena was let go
             drop(on_demand);
-            assert_eq!(retained_bytes(), 0, "on-demand buffers are never kept");
+            assert_eq!(retained_bytes(), 0, "on-demand buffers are not kept in the arena");
             assert_eq!(eager[63], 5);
         });
     }
@@ -555,15 +726,53 @@ mod tests {
     }
 
     #[test]
-    fn an_on_demand_buffer_grows_as_it_is_pushed() {
-        let mut frames = L2Vec::<u32>::with_capacity(5000, Storage::OnDemand);
-        assert_eq!(frames.allocated, 0, "nothing is allocated up front");
-        (0..3000).for_each(|i| frames.push(i));
-        assert!((3000..5000).contains(&frames.allocated));
-        assert!(frames.iter().copied().eq(0..3000));
-        let copy = frames.clone();
-        assert_eq!(copy, frames);
-        assert_eq!(copy.capacity, 5000);
+    fn an_on_demand_reservation_is_backed_only_as_it_is_pushed() {
+        on_a_fresh_thread(|| {
+            let mut frames = L2Vec::<u32>::with_capacity(5000, Storage::OnDemand);
+            let ptr = frames.as_ptr();
+            let pages = |frames: &L2Vec<u32>| {
+                frames.block.is_some().then(|| os::resident_pages(ptr.cast(), 5 * PAGE_BYTES))
+            };
+            assert!(matches!(pages(&frames), None | Some(0)), "nothing is backed up front");
+            (0..3000).for_each(|i| frames.push(i));
+            assert!(matches!(pages(&frames), None | Some(3)), "12000 bytes span 3 pages");
+            (3000..5000).for_each(|i| frames.push(i));
+            assert_eq!(frames.as_ptr(), ptr, "the buffer never moves");
+            assert!(frames.iter().copied().eq(0..5000));
+            let copy = frames.clone();
+            assert_eq!(copy, frames);
+            assert_eq!(copy.capacity, 5000);
+            let full = std::panic::catch_unwind(move || frames.push(5000));
+            assert!(full.is_err(), "a push past the capacity must panic");
+        });
+    }
+
+    #[test]
+    fn a_recycled_on_demand_buffer_reads_zero_on_both_clearing_paths() {
+        on_a_fresh_thread(|| {
+            const PAGES: usize = 40;
+            const WORDS: usize = PAGES * PAGE_BYTES / 8;
+            let written = [1, 2, 7, 8, 9, 23, 39];
+            let mut first = L2Vec::zeroed(WORDS, Storage::OnDemand);
+            for page in written {
+                first[page * PAGE_BYTES / 8 + 5] = u64::MAX;
+            }
+            let ptr = first.as_ptr();
+            let region = first.block.is_some();
+            drop(first);
+            // A larger request also reaches pages above the watermark.
+            let again = L2Vec::zeroed(WORDS + 3 * PAGE_BYTES / 8, Storage::OnDemand);
+            if region {
+                assert_eq!(again.as_ptr(), ptr, "the dropped pages are reused");
+                // Checked before any read, which maps the zero page.
+                assert_eq!(
+                    os::resident_pages(ptr.cast(), (PAGES + 3) * PAGE_BYTES),
+                    written.len(),
+                    "written pages are cleared in place, the rest left to the kernel"
+                );
+            }
+            assert!(again.iter().all(|&w| w == 0), "no word keeps its old value");
+        });
     }
 
     #[test]

@@ -9,10 +9,12 @@
 //!   probability calibrate the L1 hit rate and hence how
 //!   memory-bound the workload is;
 //! * **cold draws** — the L2-relevant references, split between a
-//!   private region (Zipf popularity), a read-only shared pool of
-//!   *budgeted* objects (each object is read a sampled total number
-//!   of times across cores, then retired — directly shaping
-//!   Figure 7a's reuse-before-replacement histogram), a streaming
+//!   private region (Zipf popularity), a static read-only shared pool
+//!   that every core of a sharing group reads (three popularity
+//!   classes, hot, warm and cold: a draw picks a class by its weight,
+//!   then a block of it uniformly; blocks are never retired, so the
+//!   pool's size and class weights shape Figure 7a's
+//!   reuse-before-replacement histogram), a streaming
 //!   component (touch-once blocks, the 0-reuse population), and
 //!   read-write-shared communication objects with a probabilistic
 //!   writer (readers accumulate 2–5 reads between writes, Figure 7b).
